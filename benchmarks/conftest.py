@@ -11,15 +11,14 @@ unchanged inputs skips the simulations entirely.  Set
 ``CARAT_BENCH_JOBS=N`` to fan the sweep points of cache misses out
 across N worker processes (see docs/parallel.md).
 
-Set ``CARAT_BENCH_EMIT=<dir>`` to write one machine-readable
-``BENCH_<test>.json`` per benchmark after the session (wall-time
-stats plus each benchmark's ``extra_info``), feeding the perf
-trajectory alongside the ``repro perf`` suite (docs/diagnostics.md).
+Set ``CARAT_BENCH_EMIT=<dir>`` to write one ``BENCH_<test>.json`` per
+benchmark after the session: the record ``repro perf`` writes
+(:class:`repro.experiments.perf.BenchRecord`, layer ``pytest``), so
+both load from one directory (docs/diagnostics.md).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 
@@ -34,13 +33,9 @@ def pytest_sessionfinish(session, exitstatus):
     bench_session = getattr(session.config, "_benchmarksession", None)
     if not out_dir or bench_session is None:
         return
-    os.makedirs(out_dir, exist_ok=True)
     from repro.experiments.bench import SESSION_CACHE_STATS
-    cache_info = {
-        "hits": SESSION_CACHE_STATS.hits,
-        "misses": SESSION_CACHE_STATS.misses,
-        "hit_rate": SESSION_CACHE_STATS.hit_rate,
-    }
+    from repro.experiments.perf import BenchRecord, write_records
+    records = []
     for bench in bench_session.benchmarks:
         stats = getattr(bench, "stats", None)
         if stats is None:  # errored or skipped benchmark
@@ -48,23 +43,20 @@ def pytest_sessionfinish(session, exitstatus):
         # Depending on the pytest-benchmark version the entry exposes
         # the Stats object directly or wrapped in a Metadata.
         stats = getattr(stats, "stats", stats)
-        record = {
-            "schema": 1,
-            "name": bench.name,
-            "group": bench.group,
-            "wall_ms_min": stats.min * 1e3,
-            "wall_ms_mean": stats.mean * 1e3,
-            "wall_ms_stddev": stats.stddev * 1e3,
-            "rounds": stats.rounds,
-            "session_cache": cache_info,
-            "extra_info": dict(bench.extra_info),
-        }
-        slug = re.sub(r"[^A-Za-z0-9_.-]+", "_", bench.name).strip("_")
-        path = os.path.join(out_dir, f"BENCH_{slug}.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True,
-                      default=str)
-            handle.write("\n")
+        records.append(BenchRecord(
+            layer="pytest",
+            name=re.sub(r"[^A-Za-z0-9_.-]+", "_", bench.name).strip("_"),
+            wall_ms={"min": stats.min * 1e3, "mean": stats.mean * 1e3},
+            detail={
+                "group": bench.group,
+                "stddev_ms": stats.stddev * 1e3,
+                "rounds": stats.rounds,
+                "extra_info": dict(bench.extra_info),
+                "session_cache_hits": SESSION_CACHE_STATS.hits,
+                "session_cache_misses": SESSION_CACHE_STATS.misses,
+            },
+        ))
+    write_records(records, out_dir)
 
 
 @pytest.fixture(scope="session")

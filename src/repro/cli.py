@@ -170,28 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
     diagnose.add_argument("--output", default="-",
                           help="file path or '-' for stdout")
 
-    perf = sub.add_parser(
+    from repro.experiments.perf import add_arguments as add_perf_arguments
+    add_perf_arguments(sub.add_parser(
         "perf",
         help="run the perf-baseline suite and emit/check BENCH_*.json "
-             "(docs/diagnostics.md)")
-    perf.add_argument("--output-dir", default=None,
-                      help="directory for the fresh BENCH_*.json files "
-                           "(default: don't write)")
-    perf.add_argument("--baseline-dir", default="benchmarks/baselines",
-                      help="committed baseline to compare against")
-    perf.add_argument("--check", action="store_true",
-                      help="fail (exit 1) on >tolerance regression "
-                           "against the baseline")
-    perf.add_argument("--update-baseline", action="store_true",
-                      help="rewrite the baseline directory with this "
-                           "run's records")
-    perf.add_argument("--tolerance", type=float, default=0.25,
-                      help="allowed relative regression on "
-                           "deterministic counters (default 0.25)")
-    perf.add_argument("--time-tolerance", type=float, default=None,
-                      help="allowed relative wall-time regression "
-                           "(default: same as --tolerance; CI uses a "
-                           "looser value for runner noise)")
+             "(docs/diagnostics.md)"))
 
     export = sub.add_parser(
         "export", help="export one experiment's sweep as CSV")
@@ -471,18 +454,8 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_perf(args) -> int:
-    from repro.experiments.perf import main as perf_main
-    argv = ["--baseline-dir", args.baseline_dir,
-            "--tolerance", str(args.tolerance)]
-    if args.output_dir:
-        argv += ["--output-dir", args.output_dir]
-    if args.check:
-        argv.append("--check")
-    if args.update_baseline:
-        argv.append("--update-baseline")
-    if args.time_tolerance is not None:
-        argv += ["--time-tolerance", str(args.time_tolerance)]
-    return perf_main(argv)
+    from repro.experiments.perf import run
+    return run(args)
 
 
 def _cmd_report(args) -> int:

@@ -1,23 +1,26 @@
-"""Perf-baseline suite: machine-readable ``BENCH_*.json`` and the CI
-regression gate.
+"""Perf-baseline suite: one ``BENCH_*.json`` record per benchmark and
+the CI regression gate.
 
-The suite runs a fixed set of model-only experiment sweeps — one per
-paper figure/table family — through the content-addressed result cache
-twice (cold, then warm) and records, per experiment:
+Three runners time the §6 solver stack, one layer each, and all return
+the same :class:`BenchRecord`:
 
-* wall time of the cold and warm runs (ms),
-* total fixed-point iterations of the model sweep (deterministic, the
-  real algorithmic-regression signal) and per-``n`` detail,
-* total Schweitzer inner iterations, and
-* cache hit/miss counts and the hit rate of the batch.
+* ``sweep`` (:func:`run_suite`) — one model-only traced experiment
+  sweep per paper figure/table family, through the content-addressed
+  result cache cold then warm;
+* ``kernel`` (:func:`run_kernel_bench`) — the MVA kernels: single
+  solves and one stacked batch;
+* ``outer`` (:func:`run_outer_bench`) — the outer fixed point: a sweep
+  solved point by point through the scalar oracle vs. one batched call.
 
-``write_records`` emits one ``BENCH_<exp>.json`` per experiment; the
+:func:`write_records` emits one ``BENCH_<name>.json`` per record; the
 first set is committed under ``benchmarks/baselines/`` and CI compares
-a fresh run against it, failing on more than ``tolerance`` (default
-25%) relative regression.  Wall-time metrics use a separate, looser
-``time_tolerance`` because shared CI runners are noisy; the iteration
-counters are deterministic and carry the strict gate.  Semantics are
-documented in docs/diagnostics.md.
+a fresh run against it with :func:`compare_records`, one rule per
+dict: ``counters`` are deterministic and carry the strict
+:data:`TOLERANCE`; ``wall_ms`` and ``speedup`` use a separate, looser
+time tolerance because shared CI runners are noisy; ``detail`` is
+never gated.  Start-up, simulator and whole-command timings are
+measured by ``benchmarks/e2e``.  Semantics are documented in
+docs/diagnostics.md.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import json
 import os
 import tempfile
 import time
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
@@ -36,90 +40,60 @@ from repro.experiments.catalog import experiment
 from repro.experiments.runner import ExperimentResult
 
 __all__ = [
-    "BENCH_SCHEMA",
-    "KERNEL_SCHEMA",
-    "OUTER_SCHEMA",
-    "SUITE",
     "BenchRecord",
-    "KernelBenchRecord",
-    "OuterBenchRecord",
     "run_suite",
     "run_kernel_bench",
     "run_outer_bench",
     "write_records",
     "load_records",
     "compare_records",
-    "write_kernel_record",
-    "load_kernel_record",
-    "compare_kernel_records",
-    "write_outer_record",
-    "load_outer_record",
-    "compare_outer_records",
     "main",
 ]
 
-#: Bump when the record layout changes incompatibly.
-BENCH_SCHEMA = 1
-
-#: Schema tag of the MVA-kernel microbenchmark record.  A *string*, so
-#: :func:`load_records` (which keys on ``schema == BENCH_SCHEMA``)
-#: never mistakes ``BENCH_kernels.json`` for an experiment record.
-KERNEL_SCHEMA = "kernel-1"
-
-#: Batch size of the kernel microbenchmark's stacked-grid solve.
-KERNEL_BATCH = 64
-
-#: Schema tag of the outer-fixed-point benchmark record.  A *string*
-#: for the same reason as :data:`KERNEL_SCHEMA`: ``BENCH_outer.json``
-#: must never be mistaken for an experiment record by
-#: :func:`load_records`.
-OUTER_SCHEMA = "outer-1"
-
-#: Experiment whose cold sweep the outer benchmark times (tab3 is the
-#: MB8 distributed-update sweep — the heaviest of the suite).
-OUTER_SWEEP = "tab3"
-
-#: Absolute slack for the microsecond-scale kernel timings (scheduler
-#: jitter; same role as :data:`TIME_NOISE_FLOOR_MS` for the suite).
-KERNEL_NOISE_FLOOR_US = 100.0
+#: Bump when the record layout changes incompatibly; records of any
+#: other schema are skipped on load.
+BENCH_SCHEMA = 2
 
 #: Experiments benchmarked by the suite: one per figure/table family
 #: (fig5 covers the LB8 sweep behind Figures 5-7, fig8 the MB4 sweep
 #: behind Figures 8-10 and Table 5, tab3/tab4 the MB8/UB6 tables).
 SUITE = ("fig5", "fig8", "tab3", "tab4")
 
-#: Metrics gated with the strict (deterministic-counter) tolerance;
-#: lower is better.
-COUNTER_METRICS = ("model_iterations", "mva_inner_iterations")
+#: Batch size of the kernel microbenchmark's stacked-grid solve.
+KERNEL_BATCH = 64
 
-#: Wall-time metrics gated with the looser time tolerance; lower is
-#: better.
-TIME_METRICS = ("wall_ms_cold", "wall_ms_warm")
+#: Experiment whose cold sweep the outer benchmark times (tab3 is the
+#: MB8 distributed-update sweep — the heaviest of the suite).
+OUTER_SWEEP = "tab3"
 
-#: Absolute slack added to wall-time thresholds: differences below
-#: this are scheduler jitter (a warm cache hit takes ~2 ms; a 1 ms
-#: blip is not a 50% regression).
-TIME_NOISE_FLOOR_MS = 100.0
+#: Allowed relative regression of the deterministic counters, and the
+#: default time tolerance.
+TOLERANCE = 0.25
+
+#: Absolute slack added to a layer's wall-time thresholds: differences
+#: below it are scheduler jitter (a warm cache hit takes ~2 ms and a
+#: single kernel solve well under 1 ms; a blip is not a regression).
+NOISE_FLOOR_MS = {"sweep": 100.0, "outer": 100.0, "kernel": 0.1, "pytest": 100.0}
 
 
 @dataclass(frozen=True)
 class BenchRecord:
-    """One experiment's perf measurements."""
+    """One benchmark's measurements, gated per dict by
+    :func:`compare_records`.
 
+    ``counters`` are deterministic work counts (lower is better);
+    ``wall_ms`` are best-of-repeats wall times; ``speedup`` are
+    like-for-like ratios (higher is better); ``detail`` is recorded
+    context that is never gated.
+    """
+
+    layer: str
     name: str
-    points: int
-    model_iterations: int
-    mva_inner_iterations: int
-    wall_ms_cold: float
-    wall_ms_warm: float
-    cache_hits: int
-    cache_misses: int
-    cache_hit_rate: float
-    iterations_by_n: dict[str, int] = field(default_factory=dict)
+    counters: dict[str, int] = field(default_factory=dict)
+    wall_ms: dict[str, float] = field(default_factory=dict)
+    speedup: dict[str, float] = field(default_factory=dict)
+    detail: dict[str, Any] = field(default_factory=dict)
     schema: int = BENCH_SCHEMA
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> BenchRecord:
@@ -155,8 +129,9 @@ def run_suite(
     Each repetition uses a private cache so the cold pass always
     computes and the warm pass is always served; wall times take the
     best of *repeats* repetitions (scheduler noise only ever slows a
-    run down).  *cache_dir* overrides the scratch location (a temp
-    directory by default).
+    run down).  The lookups per run are fixed, so the cache-miss count
+    is a deterministic counter.  *cache_dir* overrides the scratch
+    location (a temp directory by default).
     """
     from repro.experiments.cache import fetch_or_run
 
@@ -191,47 +166,22 @@ def run_suite(
             outer, inner, by_n = _trace_totals(result)
             records.append(
                 BenchRecord(
+                    layer="sweep",
                     name=name,
-                    points=len(result.points),
-                    model_iterations=outer,
-                    mva_inner_iterations=inner,
-                    wall_ms_cold=best_cold,
-                    wall_ms_warm=best_warm,
-                    cache_hits=stats.hits,
-                    cache_misses=stats.misses,
-                    cache_hit_rate=stats.hit_rate,
-                    iterations_by_n=by_n,
+                    counters={
+                        "model_iterations": outer,
+                        "mva_inner_iterations": inner,
+                        "cache_misses": stats.misses,
+                    },
+                    wall_ms={"cold": best_cold, "warm": best_warm},
+                    detail={
+                        "points": len(result.points),
+                        "iterations_by_n": by_n,
+                        "cache_hits": stats.hits,
+                    },
                 )
             )
     return records
-
-
-@dataclass(frozen=True)
-class KernelBenchRecord:
-    """MVA-kernel microbenchmark: single solves and the batched grid.
-
-    ``batch_speedup`` is the per-solve gain of one stacked
-    :func:`~repro.queueing.mva_approx.solve_mva_approx_batch` call over
-    looping :func:`~repro.queueing.mva_approx.solve_mva_approx` across
-    the same networks — the number the vectorized kernels exist for.
-    """
-
-    single_exact_us: float
-    single_approx_us: float
-    batch_size: int
-    batch_us: float
-    batch_per_solve_us: float
-    batch_speedup: float
-    name: str = "kernels"
-    schema: str = KERNEL_SCHEMA
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> KernelBenchRecord:
-        known = set(cls.__dataclass_fields__)
-        return cls(**{k: v for k, v in data.items() if k in known})
 
 
 def _kernel_networks(batch: int):
@@ -245,36 +195,33 @@ def _kernel_networks(batch: int):
     chains = tuple(f"w{k}" for k in range(6))
     centers = []
     for ci, cname in enumerate(("cpu", "disk", "log")):
-        demands = {ch: 0.8 + 0.21 * ci + 0.09 * ki
-                   for ki, ch in enumerate(chains)}
+        demands = {ch: 0.8 + 0.21 * ci + 0.09 * ki for ki, ch in enumerate(chains)}
         centers.append(ServiceCenter(cname, CenterKind.QUEUEING, demands))
     for di, cname in enumerate(("lw", "rw", "cw", "ut")):
-        demands = {ch: 5.0 + 1.7 * di + 0.33 * ki
-                   for ki, ch in enumerate(chains)}
+        demands = {ch: 5.0 + 1.7 * di + 0.33 * ki for ki, ch in enumerate(chains)}
         centers.append(ServiceCenter(cname, CenterKind.DELAY, demands))
     return [
         ClosedNetwork(
             centers=tuple(centers),
-            populations={ch: 1 + (b + ki) % 4
-                         for ki, ch in enumerate(chains)},
+            populations={ch: 1 + (b + ki) % 4 for ki, ch in enumerate(chains)},
         )
         for b in range(batch)
     ]
 
 
-def run_kernel_bench(
-    batch: int = KERNEL_BATCH, repeats: int = 3
-) -> KernelBenchRecord:
+def run_kernel_bench(batch: int = KERNEL_BATCH, repeats: int = 3) -> BenchRecord:
     """Time the MVA kernels: one exact solve, a Schweitzer loop over
     *batch* networks, and the same batch as one stacked call.
 
     Timings take the best of *repeats* repetitions (noise only ever
     slows a run down); the loop and the batch solve the *same*
-    networks, so the speedup is a like-for-like comparison through the
-    public dict-based adapters.
+    networks, so ``speedup["batch"]`` — the per-solve gain of one
+    stacked :func:`~repro.queueing.mva_approx.solve_mva_approx_batch`
+    call over looping
+    :func:`~repro.queueing.mva_approx.solve_mva_approx` — is a
+    like-for-like comparison through the public dict-based adapters.
     """
-    from repro.queueing.mva_approx import (solve_mva_approx,
-                                           solve_mva_approx_batch)
+    from repro.queueing.mva_approx import solve_mva_approx, solve_mva_approx_batch
     from repro.queueing.mva_exact import solve_mva_exact
 
     networks = _kernel_networks(batch)
@@ -297,61 +244,31 @@ def run_kernel_bench(
         best_batch = min(best_batch, (t1 - t0) * 1e6)
 
     per_solve = best_batch / batch
-    return KernelBenchRecord(
-        single_exact_us=best_exact,
-        single_approx_us=best_loop,
-        batch_size=batch,
-        batch_us=best_batch,
-        batch_per_solve_us=per_solve,
-        batch_speedup=best_loop / per_solve,
+    return BenchRecord(
+        layer="kernel",
+        name="kernels",
+        wall_ms={
+            "single_exact": best_exact / 1e3,
+            "single_approx": best_loop / 1e3,
+            "batch_per_solve": per_solve / 1e3,
+        },
+        speedup={"batch": best_loop / per_solve},
+        detail={"batch_size": batch, "batch_us": best_batch},
     )
 
 
-@dataclass(frozen=True)
-class OuterBenchRecord:
-    """Outer fixed-point benchmark: scalar reference vs. tensor engine.
-
-    ``scalar_ms`` times the sweep solved point by point through the
-    scalar oracle
-    (:class:`~repro.model.solver_reference.ReferenceCaratModel`);
-    ``batch_ms`` times the same sweep as one
-    :func:`~repro.model.outer.solve_outer_batch` call.  ``speedup`` is
-    their ratio — the number the tensorized outer loop exists for.
-    ``batch_outer_iterations`` sums each grid point's fixed-point
-    iterations from the batched solve; it is deterministic and carries
-    the strict gate (the batched program must not take extra
-    iterations to converge).
-    """
-
-    sweep: str
-    batch_points: int
-    scalar_ms: float
-    batch_ms: float
-    speedup: float
-    batch_outer_iterations: int
-    name: str = "outer"
-    schema: str = OUTER_SCHEMA
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> OuterBenchRecord:
-        known = set(cls.__dataclass_fields__)
-        return cls(**{k: v for k, v in data.items() if k in known})
-
-
-def run_outer_bench(
-    sweep: str = OUTER_SWEEP, repeats: int = 3
-) -> OuterBenchRecord:
+def run_outer_bench(sweep: str = OUTER_SWEEP, repeats: int = 3) -> BenchRecord:
     """Time one experiment's cold sweep both ways: sequential scalar
-    solves through the reference oracle vs. one batched tensor
-    program.
+    solves through the reference oracle
+    (:class:`~repro.model.solver_reference.ReferenceCaratModel`) vs.
+    one batched :func:`~repro.model.outer.solve_outer_batch` call.
 
     Both paths solve the *same* models (same workloads, sites and
-    solver options) from cold starts, so the speedup is a
+    solver options) from cold starts, so ``speedup["batch"]`` is a
     like-for-like measure of the tensorized outer loop.  Timings take
-    the best of *repeats* repetitions.
+    the best of *repeats* repetitions.  The batched solve's iteration
+    count is the suite's ``model_iterations`` for the same sweep, so
+    it is not recorded again here.
     """
     from repro.model.outer import solve_outer_batch
     from repro.model.parameters import paper_sites
@@ -364,13 +281,11 @@ def run_outer_bench(
 
     def configs():
         return [
-            ModelConfig(workload=workload, sites=sites,
-                        max_iterations=1000)
+            ModelConfig(workload=workload, sites=sites, max_iterations=1000)
             for workload in workloads
         ]
 
     best_scalar = best_batch = float("inf")
-    solutions = None
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
         for config in configs():
@@ -379,150 +294,25 @@ def run_outer_bench(
         best_scalar = min(best_scalar, (t1 - t0) * 1e3)
 
         t0 = time.perf_counter()
-        solutions = solve_outer_batch(
-            [CaratModel(config) for config in configs()])
+        solve_outer_batch([CaratModel(config) for config in configs()])
         t1 = time.perf_counter()
         best_batch = min(best_batch, (t1 - t0) * 1e3)
 
-    assert solutions is not None
-    return OuterBenchRecord(
-        sweep=sweep,
-        batch_points=len(workloads),
-        scalar_ms=best_scalar,
-        batch_ms=best_batch,
-        speedup=best_scalar / best_batch if best_batch > 0 else 0.0,
-        batch_outer_iterations=sum(s.iterations for s in solutions),
+    return BenchRecord(
+        layer="outer",
+        name="outer",
+        wall_ms={"batch": best_batch},
+        speedup={"batch": best_scalar / best_batch if best_batch > 0 else 0.0},
+        detail={
+            "sweep": sweep,
+            "batch_points": len(workloads),
+            "scalar_ms": best_scalar,
+        },
     )
 
 
-def write_outer_record(
-    record: OuterBenchRecord, directory: str | os.PathLike
-) -> Path:
-    """Write ``BENCH_outer.json``; return the path."""
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"BENCH_{record.name}.json"
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(record.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_outer_record(
-    directory: str | os.PathLike,
-) -> OuterBenchRecord | None:
-    """Load ``BENCH_outer.json`` from *directory*, if present."""
-    path = Path(directory) / "BENCH_outer.json"
-    if not path.is_file():
-        return None
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    if data.get("schema") != OUTER_SCHEMA:
-        return None
-    return OuterBenchRecord.from_dict(data)
-
-
-def compare_outer_records(
-    current: OuterBenchRecord,
-    baseline: OuterBenchRecord,
-    tolerance: float = 0.25,
-    time_tolerance: float | None = None,
-) -> list[str]:
-    """Regression messages for the outer benchmark (empty = pass).
-
-    ``batch_outer_iterations`` is deterministic and gated with the
-    strict *tolerance*; ``batch_ms`` and ``speedup`` are wall-time
-    measures and use *time_tolerance* (plus the noise floor for the
-    absolute timing).
-    """
-    if time_tolerance is None:
-        time_tolerance = tolerance
-    problems: list[str] = []
-    iters = current.batch_outer_iterations
-    ref_iters = baseline.batch_outer_iterations
-    if ref_iters > 0 and iters > ref_iters * (1.0 + tolerance):
-        problems.append(
-            f"outer: batch_outer_iterations regressed {iters} vs "
-            f"baseline {ref_iters} "
-            f"(+{100.0 * (iters / ref_iters - 1.0):.0f}%, "
-            f"allowed +{100.0 * tolerance:.0f}%)"
-        )
-    allowed_ms = baseline.batch_ms * (1.0 + time_tolerance) + TIME_NOISE_FLOOR_MS
-    if baseline.batch_ms > 0 and current.batch_ms > allowed_ms:
-        problems.append(
-            f"outer: batch_ms regressed {current.batch_ms:.1f} vs "
-            f"baseline {baseline.batch_ms:.1f} "
-            f"(+{100.0 * (current.batch_ms / baseline.batch_ms - 1.0):.0f}%, "
-            f"allowed +{100.0 * time_tolerance:.0f}%)"
-        )
-    if current.speedup < baseline.speedup * (1.0 - time_tolerance):
-        problems.append(
-            f"outer: speedup regressed {current.speedup:.1f}x vs "
-            f"baseline {baseline.speedup:.1f}x"
-        )
-    return problems
-
-
-def write_kernel_record(
-    record: KernelBenchRecord, directory: str | os.PathLike
-) -> Path:
-    """Write ``BENCH_kernels.json``; return the path."""
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"BENCH_{record.name}.json"
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(record.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_kernel_record(
-    directory: str | os.PathLike,
-) -> KernelBenchRecord | None:
-    """Load ``BENCH_kernels.json`` from *directory*, if present."""
-    path = Path(directory) / "BENCH_kernels.json"
-    if not path.is_file():
-        return None
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    if data.get("schema") != KERNEL_SCHEMA:
-        return None
-    return KernelBenchRecord.from_dict(data)
-
-
-def compare_kernel_records(
-    current: KernelBenchRecord,
-    baseline: KernelBenchRecord,
-    time_tolerance: float = 0.25,
-) -> list[str]:
-    """Regression messages for the kernel microbenchmark (empty =
-    pass): per-solve timings must not exceed the baseline by more than
-    *time_tolerance* plus the noise floor, and the batch speedup must
-    not fall more than *time_tolerance* below it."""
-    problems: list[str] = []
-    for metric in ("single_exact_us", "single_approx_us",
-                   "batch_per_solve_us"):
-        value = getattr(current, metric)
-        ref = getattr(baseline, metric)
-        if ref <= 0:
-            continue
-        if value > ref * (1.0 + time_tolerance) + KERNEL_NOISE_FLOOR_US:
-            problems.append(
-                f"kernels: {metric} regressed {value:.1f} vs baseline "
-                f"{ref:.1f} (+{100.0 * (value / ref - 1.0):.0f}%, "
-                f"allowed +{100.0 * time_tolerance:.0f}%)"
-            )
-    if current.batch_speedup < baseline.batch_speedup * (1.0 - time_tolerance):
-        problems.append(
-            f"kernels: batch_speedup regressed "
-            f"{current.batch_speedup:.1f}x vs baseline "
-            f"{baseline.batch_speedup:.1f}x"
-        )
-    return problems
-
-
 def write_records(
-    records: list[BenchRecord], directory: str | os.PathLike
+    records: Iterable[BenchRecord], directory: str | os.PathLike
 ) -> list[Path]:
     """Write one ``BENCH_<name>.json`` per record; return the paths."""
     out = Path(directory)
@@ -531,14 +321,15 @@ def write_records(
     for record in records:
         path = out / f"BENCH_{record.name}.json"
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(record.to_dict(), handle, indent=2, sort_keys=True)
+            json.dump(asdict(record), handle, indent=2, sort_keys=True, default=str)
             handle.write("\n")
         paths.append(path)
     return paths
 
 
 def load_records(directory: str | os.PathLike) -> dict[str, BenchRecord]:
-    """Load every ``BENCH_*.json`` in *directory*, keyed by name."""
+    """Load every current-schema ``BENCH_*.json`` in *directory*, keyed
+    by name."""
     records: dict[str, BenchRecord] = {}
     root = Path(directory)
     if not root.is_dir():
@@ -553,69 +344,76 @@ def load_records(directory: str | os.PathLike) -> dict[str, BenchRecord]:
     return records
 
 
+def _regressed(
+    kind: str, value: float, ref: float, time_tolerance: float, floor_ms: float
+) -> bool:
+    """The one rule per dict; a metric whose baseline is not positive
+    is never gated."""
+    if ref <= 0:
+        return False
+    if kind == "counters":
+        return value > ref * (1.0 + TOLERANCE)
+    if kind == "wall_ms":
+        return value > ref * (1.0 + time_tolerance) + floor_ms
+    return value < ref * (1.0 - time_tolerance)  # speedup: higher is better
+
+
 def compare_records(
     current: dict[str, BenchRecord],
     baseline: dict[str, BenchRecord],
-    tolerance: float = 0.25,
-    time_tolerance: float | None = None,
+    time_tolerance: float = TOLERANCE,
 ) -> list[str]:
     """Regression messages for *current* vs *baseline* (empty = pass).
 
-    Counter metrics regress when they exceed the baseline by more than
-    *tolerance*; wall-time metrics use *time_tolerance* (defaulting to
-    *tolerance*) plus an absolute noise floor; the cache hit rate
-    regresses when it falls more than *tolerance* below the baseline.
-    A benchmark present in the baseline but missing from the run is a
-    regression; new benchmarks are ignored (they become gated once the
-    baseline is updated).
+    ``counters`` regress when they exceed the baseline by more than
+    :data:`TOLERANCE`; ``wall_ms`` when they exceed it by more than
+    *time_tolerance* plus the layer's :data:`NOISE_FLOOR_MS`;
+    ``speedup`` when they fall more than *time_tolerance* below it;
+    ``detail`` is never gated.  A benchmark or metric present in the
+    baseline but missing from the run is a regression; new ones are
+    ignored (they become gated once the baseline is updated).
     """
-    if time_tolerance is None:
-        time_tolerance = tolerance
     problems: list[str] = []
     for name, base in sorted(baseline.items()):
         record = current.get(name)
         if record is None:
             problems.append(f"{name}: benchmark missing from this run")
             continue
-        for metric in COUNTER_METRICS + TIME_METRICS:
-            timed = metric in TIME_METRICS
-            tol = time_tolerance if timed else tolerance
-            slack = TIME_NOISE_FLOOR_MS if timed else 0.0
-            value = getattr(record, metric)
-            ref = getattr(base, metric)
-            if ref <= 0:
-                continue
-            if value > ref * (1.0 + tol) + slack:
-                msg = (
-                    f"{name}: {metric} regressed {value:.1f} vs "
-                    f"baseline {ref:.1f} "
-                    f"(+{100.0 * (value / ref - 1.0):.0f}%, "
-                    f"allowed +{100.0 * tol:.0f}%)"
-                )
-                problems.append(msg)
-        if record.cache_hit_rate < base.cache_hit_rate * (1.0 - tolerance):
-            msg = (
-                f"{name}: cache_hit_rate regressed "
-                f"{record.cache_hit_rate:.2f} vs baseline "
-                f"{base.cache_hit_rate:.2f}"
-            )
-            problems.append(msg)
+        for kind in ("counters", "wall_ms", "speedup"):
+            values = getattr(record, kind)
+            for metric, ref in sorted(getattr(base, kind).items()):
+                value = values.get(metric)
+                if value is None:
+                    problems.append(f"{name}: {kind}.{metric} missing from this run")
+                elif _regressed(
+                    kind, value, ref, time_tolerance, NOISE_FLOOR_MS[base.layer]
+                ):
+                    problems.append(
+                        f"{name}: {kind}.{metric} regressed {value:g} vs "
+                        f"baseline {ref:g} ({100.0 * (value / ref - 1.0):+.0f}%)"
+                    )
     return problems
 
 
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.experiments.perf`` / ``repro perf`` entry."""
-    parser = argparse.ArgumentParser(
-        prog="repro-perf",
-        description=(
-            "Run the perf-baseline suite, emit BENCH_*.json, and "
-            "optionally gate against a committed baseline."
-        ),
-    )
+def _summary(record: BenchRecord) -> str:
+    """One ``BENCH`` line with every gated metric of *record*."""
+    fields = [f"{k} {v}" for k, v in sorted(record.counters.items())]
+    fields += [f"{k} {v:.3g} ms" for k, v in sorted(record.wall_ms.items())]
+    fields += [f"{k} {v:.1f}x" for k, v in sorted(record.speedup.items())]
+    return f"BENCH {record.layer} {record.name}: " + ", ".join(fields)
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """Define the perf options on *parser*: the one definition shared
+    by ``python -m repro.experiments.perf`` and ``repro perf``."""
     parser.add_argument(
         "--output-dir", default=None, help="write fresh BENCH_*.json files here"
     )
-    parser.add_argument("--baseline-dir", default="benchmarks/baselines")
+    parser.add_argument(
+        "--baseline-dir",
+        default="benchmarks/baselines",
+        help="committed baseline to compare against",
+    )
     parser.add_argument(
         "--check", action="store_true", help="exit 1 on regression vs the baseline"
     )
@@ -624,116 +422,62 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="rewrite the baseline with this run",
     )
-    parser.add_argument("--tolerance", type=float, default=0.25)
     parser.add_argument(
         "--time-tolerance",
         type=float,
-        default=None,
-        help="wall-time tolerance (default: --tolerance)",
+        default=TOLERANCE,
+        help="allowed relative wall-time/speedup regression (default "
+        "0.25; CI passes 1.0 for runner noise)",
     )
-    parser.add_argument(
-        "--suite", nargs="+", default=list(SUITE), help="experiment ids to benchmark"
-    )
-    parser.add_argument(
-        "--no-kernels",
-        action="store_true",
-        help="skip the MVA-kernel microbenchmark",
-    )
-    parser.add_argument(
-        "--no-outer",
-        action="store_true",
-        help="skip the outer fixed-point (scalar vs. batched) benchmark",
-    )
-    args = parser.parse_args(argv)
+    return parser
 
-    records = run_suite(tuple(args.suite))
+
+def run(args: argparse.Namespace) -> int:
+    """Run every benchmark, then write and/or gate the records as
+    *args* (from :func:`add_arguments`) ask."""
+    records = [*run_suite(), run_kernel_bench(), run_outer_bench()]
     for record in records:
-        line = (
-            f"BENCH {record.name}: cold {record.wall_ms_cold:.0f} ms, "
-            f"warm {record.wall_ms_warm:.0f} ms, "
-            f"{record.model_iterations} model iterations, "
-            f"cache hit rate {record.cache_hit_rate:.2f} "
-            f"({record.cache_hits} hits / {record.cache_misses} misses)"
-        )
-        print(line)
-    kernel = None if args.no_kernels else run_kernel_bench()
-    if kernel is not None:
-        line = (
-            f"BENCH kernels: exact {kernel.single_exact_us:.0f} us, "
-            f"approx {kernel.single_approx_us:.0f} us, batched "
-            f"B={kernel.batch_size} {kernel.batch_per_solve_us:.0f} "
-            f"us/solve ({kernel.batch_speedup:.1f}x)"
-        )
-        print(line)
-    outer = None if args.no_outer else run_outer_bench()
-    if outer is not None:
-        line = (
-            f"BENCH outer: {outer.sweep} sweep "
-            f"({outer.batch_points} points) scalar "
-            f"{outer.scalar_ms:.0f} ms, batched {outer.batch_ms:.0f} ms "
-            f"({outer.speedup:.1f}x, "
-            f"{outer.batch_outer_iterations} outer iterations)"
-        )
-        print(line)
+        print(_summary(record))
     if args.output_dir:
         for path in write_records(records, args.output_dir):
             print(f"wrote {path}")
-        if kernel is not None:
-            print(f"wrote {write_kernel_record(kernel, args.output_dir)}")
-        if outer is not None:
-            print(f"wrote {write_outer_record(outer, args.output_dir)}")
     if args.update_baseline:
         for path in write_records(records, args.baseline_dir):
             print(f"wrote {path}")
-        if kernel is not None:
-            print(
-                f"wrote {write_kernel_record(kernel, args.baseline_dir)}")
-        if outer is not None:
-            print(
-                f"wrote {write_outer_record(outer, args.baseline_dir)}")
         return 0
-    if args.check:
-        baseline = load_records(args.baseline_dir)
-        if not baseline:
-            msg = (
-                f"no baseline under {args.baseline_dir}; run with "
-                f"--update-baseline first"
-            )
-            print(msg)
-            return 1
-        problems = compare_records(
-            {r.name: r for r in records},
-            baseline,
-            tolerance=args.tolerance,
-            time_tolerance=args.time_tolerance,
+    if not args.check:
+        return 0
+    baseline = load_records(args.baseline_dir)
+    if not baseline:
+        print(
+            f"no baseline under {args.baseline_dir}; "
+            "run with --update-baseline first"
         )
-        kernel_baseline = load_kernel_record(args.baseline_dir)
-        if kernel is not None and kernel_baseline is not None:
-            problems += compare_kernel_records(
-                kernel,
-                kernel_baseline,
-                time_tolerance=(args.time_tolerance
-                                if args.time_tolerance is not None
-                                else args.tolerance),
-            )
-        outer_baseline = load_outer_record(args.baseline_dir)
-        if outer is not None and outer_baseline is not None:
-            problems += compare_outer_records(
-                outer,
-                outer_baseline,
-                tolerance=args.tolerance,
-                time_tolerance=args.time_tolerance,
-            )
-        for problem in problems:
-            print(f"REGRESSION {problem}")
-        if problems:
-            return 1
-        msg = (
-            f"perf gate passed ({len(baseline)} baselines, "
-            f"tolerance {args.tolerance:.0%})"
-        )
-        print(msg)
+        return 1
+    problems = compare_records(
+        {r.name: r for r in records}, baseline, time_tolerance=args.time_tolerance
+    )
+    for problem in problems:
+        print(f"REGRESSION {problem}")
+    if problems:
+        return 1
+    print(
+        f"perf gate passed ({len(baseline)} baselines, counter tolerance "
+        f"{TOLERANCE:.0%}, time tolerance {args.time_tolerance:.0%})"
+    )
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    """``python -m repro.experiments.perf`` entry."""
+    parser = argparse.ArgumentParser(
+        prog="repro-perf",
+        description=(
+            "Run the perf-baseline suite, emit BENCH_*.json, and "
+            "optionally gate against a committed baseline."
+        ),
+    )
+    return run(add_arguments(parser).parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError
 
@@ -84,6 +83,8 @@ def batch_means(
         raise ConfigurationError(
             f"{len(observations)} observations cannot fill "
             f"{batches} batches")
+    from scipy import stats
+
     means = [float(np.mean(observations[i * size:(i + 1) * size]))
              for i in range(batches)]
     grand = float(np.mean(means))

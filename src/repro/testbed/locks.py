@@ -86,23 +86,26 @@ class LockManager:
         """True when *txn* is queued for a lock at this site."""
         return txn in self._waiting_for
 
-    def blockers(self, txn: str) -> set[str]:
+    def blockers(self, txn: str) -> list[str]:
         """Transactions a blocked *txn* is waiting on (its WFG edges):
-        conflicting holders plus incompatible earlier waiters."""
+        conflicting holders in grant order, then incompatible earlier
+        waiters in queue order, without duplicates.  The order is fixed
+        so that probe chasing, and hence the deadlock victims, do not
+        depend on string hashing."""
         waiting = self._waiting_for.get(txn)
         if waiting is None:
-            return set()
+            return []
         granule, mode = waiting
         lock = self._locks.get(granule)
         if lock is None:
-            return set()
-        out = {holder for holder, held in lock.holders.items()
-               if holder != txn and not mode.compatible(held)}
+            return []
+        out = [holder for holder, held in lock.holders.items()
+               if holder != txn and not mode.compatible(held)]
         for waiter in lock.queue:
             if waiter.txn == txn:
                 break
-            if not mode.compatible(waiter.mode):
-                out.add(waiter.txn)
+            if not mode.compatible(waiter.mode) and waiter.txn not in out:
+                out.append(waiter.txn)
         return out
 
     # -- the protocol ----------------------------------------------------------

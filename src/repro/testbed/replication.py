@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError
 from repro.obs.spans import span
@@ -57,6 +56,8 @@ def _estimate(samples: list[float], confidence: float) -> Estimate:
     if n < 2:
         return Estimate(mean=mean, half_width=float("inf"),
                         replications=n, confidence=confidence)
+    from scipy import stats
+
     sem = float(np.std(samples, ddof=1)) / np.sqrt(n)
     t = float(stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return Estimate(mean=mean, half_width=t * sem, replications=n,

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,11 +112,30 @@ class TestPerfCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["perf"])
         assert args.baseline_dir == "benchmarks/baselines"
-        assert args.tolerance == 0.25
+        assert args.time_tolerance == 0.25
         assert not args.check
+
+    @pytest.mark.parametrize("option", ["--tolerance", "--suite",
+                                        "--no-kernels", "--no-outer"])
+    def test_removed_options_rejected(self, option):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["perf", option])
 
     def test_trace_flag_on_experiment(self):
         args = build_parser().parse_args(
             ["experiment", "fig5", "--quick", "--model-only",
              "--trace"])
         assert args.trace
+
+
+class TestStartup:
+    def test_import_does_not_load_scipy(self):
+        """scipy serves only calibration and interval estimates, so no
+        CLI call pays for importing it up front."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        code = ("import sys, repro.cli; print(sorted(m for m in sys.modules"
+                " if m.split('.')[0] == 'scipy'))")
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+        assert result.stdout.strip() == "[]"

@@ -163,15 +163,25 @@ class TestLocalDeadlockDetection:
         mgr = LockManager("A")
         req(mgr, "t1", 1, X)
         req(mgr, "t2", 1, X)
-        assert mgr.blockers("t2") == {"t1"}
-        assert mgr.blockers("t1") == set()
+        assert mgr.blockers("t2") == ["t1"]
+        assert mgr.blockers("t1") == []
 
     def test_blockers_includes_incompatible_earlier_waiters(self):
         mgr = LockManager("A")
         req(mgr, "r1", 1, S)
         req(mgr, "w", 1, X)
         req(mgr, "r2", 1, S)
-        assert mgr.blockers("r2") == {"w"}
+        assert mgr.blockers("r2") == ["w"]
+
+    def test_blockers_order_is_grant_then_queue(self):
+        """Holders in grant order, then earlier waiters in queue order:
+        never hash order, so probe chasing repeats across runs."""
+        mgr = LockManager("A")
+        for txn in ("r3", "r1", "r2"):
+            req(mgr, txn, 1, S)
+        req(mgr, "w2", 1, X)
+        req(mgr, "w1", 1, X)
+        assert mgr.blockers("w1") == ["r3", "r1", "r2", "w2"]
 
     def test_statistics(self):
         mgr = LockManager("A")
