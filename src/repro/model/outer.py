@@ -31,11 +31,14 @@ averages, site totals) are accumulated sequentially in state order to
 mirror the scalar loops' summation order; the remaining differences
 from :class:`~repro.model.solver_reference.ReferenceCaratModel` are
 last-ulp rounding in the demand assembly, contracted by the damped
-update (the property tests pin agreement at 1e-10).
+update (the property tests pin agreement at 1e-9).
 
-The scalar phase methods stay on :class:`~repro.model.solver.CaratModel`
-(tests drive them directly); ``CaratModel.solve()`` runs this engine
-with ``B = 1``.
+This engine is the only production form of the iteration:
+``CaratModel.solve()`` runs it with ``B = 1``, and
+:class:`~repro.model.solver.CaratModel` itself holds only the
+configuration, iterate state, warm start and solution building around
+it.  The scalar form lives only in the oracle module
+:mod:`repro.model.solver_reference`.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from repro.queueing.kernels import (
     solve_schweitzer_batch,
 )
 
-__all__ = ["solve_outer_batch", "solve_model_batch"]
+__all__ = ["solve_outer_batch"]
 
 _PI = {phase: i for i, phase in enumerate(PHASE_ORDER)}
 _NPHASE = len(PHASE_ORDER)
@@ -1087,26 +1090,3 @@ def _emit_solver_metrics(engine: _BatchEngine,
                  float(sum(s.iterations for s in solutions)))
     registry.add("solver.inner_iterations",
                  float(engine.tot_inner.sum()))
-
-
-def solve_model_batch(configs: Sequence, warm_starts=None,
-                      diagnostics=None) -> list[ModelSolution]:
-    """Configure and solve a batch of models in one tensor program.
-
-    ``warm_starts`` / ``diagnostics`` are optional parallel sequences
-    (entries may be None) matching *configs*.
-    """
-    from repro.model.solver import CaratModel
-
-    configs = list(configs)
-    warm_starts = (list(warm_starts) if warm_starts is not None
-                   else [None] * len(configs))
-    diagnostics = (list(diagnostics) if diagnostics is not None
-                   else [None] * len(configs))
-    if not len(configs) == len(warm_starts) == len(diagnostics):
-        raise ConfigurationError(
-            "configs, warm_starts and diagnostics must align")
-    models = [CaratModel(config, warm_start=ws, diagnostics=diag)
-              for config, ws, diag in zip(configs, warm_starts,
-                                          diagnostics)]
-    return solve_outer_batch(models)

@@ -162,6 +162,14 @@ class TestCompare:
         assert len(problems) == 1
         assert "counters.model_iterations" in problems[0]
 
+    def test_speedup_gate_ignores_time_tolerance(self):
+        """Speedups are ratios within one run: CI's loose time
+        tolerance must not switch their gate off."""
+        problems = _gate(_kernel_record(speedup={"batch": 0.7 * 12.0}),
+                         _kernel_record(), time_tolerance=1.0)
+        assert problems == ["kernels: speedup.batch regressed 8.4 vs "
+                            "baseline 12 (-30%)"]
+
     def test_missing_benchmark_is_regression(self):
         problems = compare_records({}, {"fig5": _record()})
         assert problems == ["fig5: benchmark missing from this run"]

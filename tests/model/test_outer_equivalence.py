@@ -4,8 +4,9 @@ The tensorized outer fixed point (:mod:`repro.model.outer`) is the
 production solve path; the original scalar loop lives on as
 :class:`~repro.model.solver_reference.ReferenceCaratModel`.  These
 tests pin their equivalence — identical iteration counts and measures
-within 1e-10 — over the paper's workloads, randomized configurations,
-and the degenerate corners (zero locks, a single chain, saturation).
+within 1e-9 — over the paper's workloads (with and without the
+non-default options), randomized configurations, and the degenerate
+corners (zero locks, a single chain, saturation).
 """
 
 import pytest
@@ -61,12 +62,51 @@ def _assert_equivalent(batched, reference):
                         ref_chain.n_submissions) < REL
 
 
-def _solve_both(configs):
-    """One batched solve vs. sequential reference solves."""
-    batched = solve_outer_batch([CaratModel(c) for c in configs])
-    references = [ReferenceCaratModel(c).solve() for c in configs]
+def _solve_both(configs, warm_start=None):
+    """One batched solve vs. sequential reference solves, every model
+    seeded from the same *warm_start* snapshot (if any)."""
+    batched = solve_outer_batch([CaratModel(c, warm_start=warm_start)
+                                 for c in configs])
+    references = [ReferenceCaratModel(c, warm_start=warm_start).solve()
+                  for c in configs]
     for got, want in zip(batched, references):
         _assert_equivalent(got, want)
+
+
+PAPER_WORKLOADS = ("LB8", "MB4", "MB8", "UB6")
+
+#: Variants of the paper configuration, each reaching a branch of the
+#: iteration the defaults never take: the TM-serialization surrogate,
+#: a fixed blocking ratio, a nonzero communication delay, a separate
+#: log disk (an extra queueing center), and a warm-started solve.
+VARIANTS = ("tms", "override", "alpha", "logdisk", "warm")
+
+#: ``(name, mva, variant)`` rows; the default-config rows keep their
+#: ``mva-name`` ids.
+PAPER_CASES = [
+    pytest.param(name, mva, None, id=f"{mva}-{name}")
+    for mva in ("approx", "exact") for name in PAPER_WORKLOADS
+] + [
+    pytest.param(name, mva, variant, id=f"{mva}-{name}-{variant}")
+    for variant in VARIANTS
+    for mva in ("approx", "exact") for name in PAPER_WORKLOADS
+]
+
+
+def _paper_config(name, mva, variant, n=8):
+    sites = paper_sites()
+    options = {}
+    if variant == "tms":
+        options["model_tm_serialization"] = True
+    elif variant == "override":
+        options["blocking_ratio_override"] = 0.25
+    elif variant == "alpha":
+        options["alpha_ms"] = 5.0
+    elif variant == "logdisk":
+        sites = {node: site.with_overrides(log_on_separate_disk=True)
+                 for node, site in sites.items()}
+    return ModelConfig(workload=STANDARD_WORKLOADS[name](n), sites=sites,
+                       mva=mva, max_iterations=1000, **options)
 
 
 @st.composite
@@ -95,13 +135,16 @@ def random_workloads(draw):
 
 
 class TestPaperWorkloads:
-    @pytest.mark.parametrize("name", ["LB8", "MB4", "MB8", "UB6"])
-    @pytest.mark.parametrize("mva", ["exact", "approx"])
-    def test_batched_matches_reference(self, name, mva):
-        config = ModelConfig(workload=STANDARD_WORKLOADS[name](),
-                             sites=paper_sites(), mva=mva,
-                             max_iterations=1000)
-        _solve_both([config])
+    @pytest.mark.parametrize("name, mva, variant", PAPER_CASES)
+    def test_batched_matches_reference(self, name, mva, variant):
+        warm_start = None
+        if variant == "warm":
+            # One snapshot from the neighbouring sweep point seeds both
+            # paths, Schweitzer queue iterates included.
+            nearby = CaratModel(_paper_config(name, mva, None, n=6))
+            nearby.solve()
+            warm_start = nearby.snapshot()
+        _solve_both([_paper_config(name, mva, variant)], warm_start)
 
     def test_mixed_workload_batch(self):
         """Heterogeneous batch: all four mixes in one tensor program,
@@ -109,7 +152,7 @@ class TestPaperWorkloads:
         configs = [
             ModelConfig(workload=STANDARD_WORKLOADS[name](),
                         sites=paper_sites(), max_iterations=1000)
-            for name in ("LB8", "MB4", "MB8", "UB6")
+            for name in PAPER_WORKLOADS
         ]
         _solve_both(configs)
 

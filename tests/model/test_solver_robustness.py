@@ -112,10 +112,11 @@ class TestZeroLockGuard:
             assert chain.throughput_per_s > 0.0
 
     def test_lock_model_update_with_zeroed_locks(self, sites):
-        from repro.model.solver import CaratModel, ModelConfig
+        from repro.model.solver import ModelConfig
+        from repro.model.solver_reference import ReferenceCaratModel
         from repro.model.workload import mb8
-        model = CaratModel(ModelConfig(workload=mb8(8), sites=sites,
-                                       max_iterations=1000))
+        model = ReferenceCaratModel(ModelConfig(
+            workload=mb8(8), sites=sites, max_iterations=1000))
         state = model._state[("A", next(
             chain for (site, chain) in model._state if site == "A"))]
         state.locks = 0.0

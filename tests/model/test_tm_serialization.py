@@ -49,8 +49,9 @@ class TestSaturationClamp:
     wait near saturation."""
 
     def test_wait_consistent_at_saturation(self, sites):
-        from repro.model.solver import CaratModel, ModelConfig
-        model = CaratModel(ModelConfig(
+        from repro.model.solver import ModelConfig
+        from repro.model.solver_reference import ReferenceCaratModel
+        model = ReferenceCaratModel(ModelConfig(
             workload=mb8(4), sites=sites, max_iterations=1000,
             model_tm_serialization=True, damping=1.0))
         # Drive node A's TM past saturation: lam = 0.1 msgs/ms with
