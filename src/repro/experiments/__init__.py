@@ -1,16 +1,13 @@
 """Reproduction harness for every table and figure of the paper."""
 
-from repro.experiments.cache import (ResultCache, fetch_or_run,
-                                     fetch_or_run_many)
+from repro.experiments.cache import ResultCache, fetch_or_run_many
 from repro.experiments.catalog import (EXPERIMENTS, PAPER_TABLE3,
                                        PAPER_TABLE4, PAPER_TABLE5,
                                        experiment, experiment_specs)
-from repro.experiments.parallel import (map_calls,
-                                        run_experiment_parallel,
-                                        run_experiments)
+from repro.experiments.parallel import map_calls, run_experiments
 from repro.experiments.runner import (PAPER_SWEEP, ExperimentResult,
                                       ExperimentSpec, SweepPoint,
-                                      run_experiment, solve_sweep_models)
+                                      solve_sweep_models)
 from repro.experiments.export import (experiment_to_csv,
                                       paper_reference_to_csv)
 from repro.experiments.report import (render_figure_series,
@@ -27,10 +24,9 @@ from repro.experiments.validate import (AgreementStats, compare_series,
 __all__ = [
     "EXPERIMENTS", "experiment", "experiment_specs",
     "PAPER_TABLE3", "PAPER_TABLE4", "PAPER_TABLE5", "PAPER_SWEEP",
-    "ExperimentSpec", "ExperimentResult", "SweepPoint", "run_experiment",
-    "run_experiments", "run_experiment_parallel", "solve_sweep_models",
-    "map_calls",
-    "ResultCache", "fetch_or_run", "fetch_or_run_many",
+    "ExperimentSpec", "ExperimentResult", "SweepPoint",
+    "run_experiments", "solve_sweep_models", "map_calls",
+    "ResultCache", "fetch_or_run_many",
     "render_summary_table", "render_per_type_table",
     "render_figure_series",
     "SensitivityResult", "SweepRequest", "sweep_site_field",

@@ -2,18 +2,18 @@
 
 Kept inside the package (rather than the benchmark tree) so benchmark
 modules can import them regardless of how pytest sets up ``sys.path``.
+Benchmark sweeps run through the same cached path as the CLI
+(:func:`repro.experiments.cache.fetch_or_run_many`).
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.experiments.cache import CacheStats, fetch_or_run
-from repro.experiments.runner import ExperimentResult, ExperimentSpec, \
-    run_experiment
+from repro.experiments.cache import CacheStats, fetch_or_run_many
+from repro.experiments.runner import ExperimentResult, ExperimentSpec
 
-__all__ = ["run_repro", "cached_run", "attach_series", "shape_checks",
-           "SESSION_CACHE_STATS"]
+__all__ = ["cached_run", "attach_series", "SESSION_CACHE_STATS"]
 
 #: Hit/miss counters accumulated across every :func:`cached_run` of a
 #: benchmark session.  The ``CARAT_BENCH_EMIT`` hook in
@@ -26,8 +26,9 @@ SESSION_CACHE_STATS = CacheStats()
 def cached_run(spec: ExperimentSpec, sites, window,
                jobs: int | None = None,
                **model_kwargs) -> ExperimentResult:
-    """Like :func:`run_repro` but served from the content-addressed
-    result cache (:mod:`repro.experiments.cache`).
+    """Run one experiment sweep with a benchmark-selected window,
+    served from the content-addressed result cache
+    (:mod:`repro.experiments.cache`).
 
     Benchmarks that render different metrics of the same workload
     sweep (e.g. Figures 5–7 all come from one LB8 sweep) share one
@@ -42,21 +43,10 @@ def cached_run(spec: ExperimentSpec, sites, window,
     if jobs is None:
         jobs = int(os.environ.get("CARAT_BENCH_JOBS", "1"))
     warmup, duration = window
-    return fetch_or_run(spec, sites, sim_warmup_ms=warmup,
-                        sim_duration_ms=duration,
-                        model_kwargs=model_kwargs or None, jobs=jobs,
-                        stats=SESSION_CACHE_STATS)
-
-
-def run_repro(spec: ExperimentSpec, sites, window,
-              run_simulation: bool = True,
-              **model_kwargs) -> ExperimentResult:
-    """Run one experiment sweep with a benchmark-selected window."""
-    warmup, duration = window
-    return run_experiment(
-        spec, sites=sites, sim_warmup_ms=warmup,
-        sim_duration_ms=duration, run_simulation=run_simulation,
-        model_kwargs=model_kwargs or None)
+    return fetch_or_run_many([spec], sites, sim_warmup_ms=warmup,
+                             sim_duration_ms=duration,
+                             model_kwargs=model_kwargs or None,
+                             jobs=jobs, stats=SESSION_CACHE_STATS)[0]
 
 
 def attach_series(benchmark, result: ExperimentResult,
@@ -67,17 +57,3 @@ def attach_series(benchmark, result: ExperimentResult,
         info[f"model_{site}"] = result.series(site, f"model_{metric}")
         info[f"sim_{site}"] = result.series(site, f"sim_{metric}")
     benchmark.extra_info.update(info)
-
-
-def shape_checks(result: ExperimentResult, metric: str = "xput") -> None:
-    """Assert the qualitative reproduction targets shared by every
-    throughput artifact: positive values everywhere, and a monotone
-    decline of throughput with transaction size per site."""
-    for point in result.points:
-        assert getattr(point, f"model_{metric}") > 0.0
-    if metric != "xput":
-        return
-    for site in result.spec.sites_of_interest:
-        series = [v for _n, v in result.series(site, "model_xput")]
-        assert series == sorted(series, reverse=True), (
-            f"model throughput not monotone at {site}: {series}")

@@ -17,11 +17,14 @@ is a SHA-256 digest of everything that determines the result:
 * a cache schema version, bumped whenever the solver or simulator
   changes semantics.
 
-Entries are pickled :class:`~repro.experiments.runner.SweepPoint`
-tuples stored as ``<digest>.pkl`` under the cache directory
-(``$CARAT_CACHE_DIR``, else ``$XDG_CACHE_HOME/carat-qnm``, else
-``~/.cache/carat-qnm``), fronted by a process-wide in-memory layer.
-Deleting the directory (or any file in it) is always safe.
+Every entry is one picklable payload stored as ``<digest>.pkl`` under
+the cache directory (``$CARAT_CACHE_DIR``, else
+``$XDG_CACHE_HOME/carat-qnm``, else ``~/.cache/carat-qnm``), fronted
+by a process-wide in-memory layer.  A sweep is the
+:class:`~repro.experiments.runner.SweepPoint` tuple under its
+:func:`run_digest`; the planner and the scenario runner store their
+own payloads under :func:`payload_digest` keys.  Deleting the
+directory (or any file in it) is always safe.
 """
 
 from __future__ import annotations
@@ -38,12 +41,11 @@ from pathlib import Path
 
 from repro.model.parameters import SiteParameters, paper_sites
 from repro.obs import metrics as obs
-from repro.experiments.runner import ExperimentResult, ExperimentSpec, \
-    SweepPoint
+from repro.experiments.runner import ExperimentResult, ExperimentSpec
 
 __all__ = ["CACHE_VERSION", "CacheStats", "ResultCache",
            "default_cache_dir", "run_digest", "payload_digest",
-           "fetch_or_run", "fetch_or_run_many", "clear_memory"]
+           "fetch_or_run_many", "clear_memory"]
 
 #: Bump to invalidate every existing entry after a semantic change to
 #: the solver, simulator, or the SweepPoint layout.
@@ -54,7 +56,7 @@ CACHE_VERSION = 3
 
 #: Process-wide memory layer, shared by every :class:`ResultCache`
 #: instance (keys are content digests, so the directory is irrelevant).
-_MEMORY: dict[str, tuple[SweepPoint, ...]] = {}
+_MEMORY: dict[str, object] = {}
 
 
 def clear_memory() -> None:
@@ -68,15 +70,6 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-
-    @property
-    def requests(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of requests served from the cache (0 when idle)."""
-        return self.hits / self.requests if self.requests else 0.0
 
 
 def default_cache_dir() -> Path:
@@ -162,11 +155,11 @@ def payload_digest(kind: str, token, schema: int | None = None) -> str:
 
 
 class ResultCache:
-    """Digest-addressed store of sweep-point tuples (memory + disk).
+    """Digest-addressed store of picklable payloads (memory + disk).
 
-    The generic :meth:`get_payload` / :meth:`put_payload` pair stores
-    arbitrary picklable objects under :func:`payload_digest` keys; the
-    capacity planner uses it to memoize individual model solves.
+    Sweeps store their point tuples under :func:`run_digest` keys; the
+    capacity planner and the scenario runner store their own payloads
+    under :func:`payload_digest` keys.
     """
 
     def __init__(self, root: str | os.PathLike | None = None):
@@ -176,46 +169,9 @@ class ResultCache:
     def path(self, digest: str) -> Path:
         return self.root / f"{digest}.pkl"
 
-    def get(self, digest: str) -> tuple[SweepPoint, ...] | None:
-        """Points for *digest*, or ``None`` on a miss (a corrupt or
-        unreadable disk entry counts as a miss)."""
-        points = _MEMORY.get(digest)
-        if points is not None:
-            return points
-        try:
-            with open(self.path(digest), "rb") as handle:
-                entry = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError,
-                AttributeError, ImportError, IndexError, ValueError):
-            return None
-        if (not isinstance(entry, dict)
-                or entry.get("version") != CACHE_VERSION):
-            return None
-        points = tuple(entry["points"])
-        _MEMORY[digest] = points
-        return points
-
-    def put(self, digest: str, points: tuple[SweepPoint, ...]) -> None:
-        """Store *points* in memory and (best-effort) on disk."""
-        points = tuple(points)
-        _MEMORY[digest] = points
-        entry = {"version": CACHE_VERSION, "points": points}
-        # A read-only or full cache directory must never fail the
-        # run; the memory layer still serves this process.
-        with contextlib.suppress(OSError):
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(entry, handle,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, self.path(digest))
-            except BaseException:
-                os.unlink(tmp)
-                raise
-
-    def get_payload(self, digest: str):
-        """Arbitrary payload for *digest*, or ``None`` on a miss."""
+    def get(self, digest: str):
+        """Payload for *digest*, or ``None`` on a miss (a corrupt,
+        unreadable or other-version disk entry counts as a miss)."""
         if digest in _MEMORY:
             return _MEMORY[digest]
         try:
@@ -232,11 +188,13 @@ class ResultCache:
         _MEMORY[digest] = payload
         return payload
 
-    def put_payload(self, digest: str, payload) -> None:
-        """Store an arbitrary picklable *payload* (memory + disk)."""
+    def put(self, digest: str, payload) -> None:
+        """Store *payload* in memory and (best-effort) on disk."""
         _MEMORY[digest] = payload
         entry = {"version": CACHE_VERSION, "payload": payload}
-        with contextlib.suppress(OSError):  # best-effort, as in put()
+        # A read-only or full cache directory must never fail the
+        # run; the memory layer still serves this process.
+        with contextlib.suppress(OSError):
             self.root.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
             try:
@@ -337,8 +295,3 @@ def _emit_cache_metrics(hits: int, misses: int) -> None:
     requests = total_hits + registry.counters.get("cache.misses", 0.0)
     registry.set_gauge("cache.hit_rate",
                        total_hits / requests if requests else 0.0)
-
-
-def fetch_or_run(spec: ExperimentSpec, *args, **kwargs) -> ExperimentResult:
-    """Single-spec convenience wrapper of :func:`fetch_or_run_many`."""
-    return fetch_or_run_many([spec], *args, **kwargs)[0]

@@ -14,9 +14,10 @@ pool of worker processes:
 * one **simulation task** per ``(experiment, n)`` runs the CARAT
   simulator for that point.
 
-Results are reassembled in the exact order the serial path
-(:func:`repro.experiments.runner.run_experiment`) produces, so for the
-same seed and flags the two paths return bit-identical
+:func:`run_experiments` is the only way a sweep runs.  With ``jobs=1``
+(or a single task) the tasks run inline in task order; otherwise they
+fan out and are reassembled in that same order, so for the same seed
+and flags every worker count returns bit-identical
 :class:`~repro.experiments.runner.ExperimentResult` objects.
 """
 
@@ -44,7 +45,7 @@ from repro.experiments.runner import (ExperimentResult, ExperimentSpec,
 from repro.testbed.system import simulate
 
 __all__ = ["ParallelExecutionError", "resolve_jobs", "run_experiments",
-           "run_experiment_parallel", "map_calls"]
+           "map_calls"]
 
 
 class ParallelExecutionError(CaratError):
@@ -275,14 +276,15 @@ def run_experiments(
     trace: bool = False,
 ) -> list[ExperimentResult]:
     """Run one or more experiments with their sweep points fanned out
-    across ``jobs`` worker processes.
+    across ``jobs`` worker processes (inline when ``jobs=1``).
 
-    Parameters mirror :func:`repro.experiments.runner.run_experiment`;
-    the returned results (one per spec, in spec order) are
-    bit-identical to the serial path for the same arguments and seed.
-    ``trace=True`` records per-solve convergence traces in the model
-    workers and ships them back attached to the solutions (and hence
-    the assembled sweep points).
+    Returns one result per spec, in spec order, bit-identical for every
+    ``jobs`` value given the same arguments and seed.
+    ``run_simulation=False`` skips the simulator and reports zeros in
+    the sim columns (model-only sweeps).  ``warm_start=True`` chains the
+    model solves across each sweep and ``trace=True`` attaches a
+    convergence trace to every sweep point as ``model_trace`` (see
+    :func:`repro.experiments.runner.solve_sweep_models`).
     """
     sites = sites or paper_sites()
     jobs = resolve_jobs(jobs)
@@ -321,13 +323,3 @@ def run_experiments(
                 spec, n, solutions[i][j], measurements.get((i, j)))
         results.append(ExperimentResult(spec=spec, points=tuple(points)))
     return results
-
-
-def run_experiment_parallel(
-    spec: ExperimentSpec,
-    sites: dict[str, SiteParameters] | None = None,
-    jobs: int | None = None,
-    **kwargs,
-) -> ExperimentResult:
-    """Single-experiment convenience wrapper of :func:`run_experiments`."""
-    return run_experiments([spec], sites=sites, jobs=jobs, **kwargs)[0]

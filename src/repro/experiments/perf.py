@@ -35,7 +35,12 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.experiments.cache import CacheStats, ResultCache, clear_memory
+from repro.experiments.cache import (
+    CacheStats,
+    ResultCache,
+    clear_memory,
+    fetch_or_run_many,
+)
 from repro.experiments.catalog import experiment
 from repro.experiments.runner import ExperimentResult
 
@@ -133,8 +138,6 @@ def run_suite(
     is a deterministic counter.  *cache_dir* overrides the scratch
     location (a temp directory by default).
     """
-    from repro.experiments.cache import fetch_or_run
-
     records: list[BenchRecord] = []
     with tempfile.TemporaryDirectory(dir=cache_dir) as scratch:
         for name in names:
@@ -147,16 +150,16 @@ def run_suite(
                 cache = ResultCache(Path(scratch) / f"{name}-{rep}")
                 clear_memory()
                 t0 = time.perf_counter()
-                result = fetch_or_run(
-                    spec, run_simulation=False, trace=True, cache=cache, stats=stats
-                )
+                result = fetch_or_run_many(
+                    [spec], run_simulation=False, trace=True, cache=cache, stats=stats
+                )[0]
                 t1 = time.perf_counter()
                 # Warm pass: drop the in-memory layer so the hit
                 # exercises the on-disk path the CLI and benchmarks
                 # actually use.
                 clear_memory()
-                fetch_or_run(
-                    spec, run_simulation=False, trace=True, cache=cache, stats=stats
+                fetch_or_run_many(
+                    [spec], run_simulation=False, trace=True, cache=cache, stats=stats
                 )
                 t2 = time.perf_counter()
                 best_cold = min(best_cold, (t1 - t0) * 1e3)

@@ -7,6 +7,11 @@ reports: TR-XPUT (commits/s), normalized record throughput, Total-CPU
 come from the analytical solver, "sim" columns from the CARAT
 simulator — our stand-in for the paper's testbed measurements
 (DESIGN.md §4.1).
+
+This module holds the spec and result types, the model sweep solve and
+the point assembly.  Every sweep runs through one path:
+:func:`repro.experiments.parallel.run_experiments`, usually behind the
+result cache in :func:`repro.experiments.cache.fetch_or_run_many`.
 """
 
 from __future__ import annotations
@@ -15,17 +20,16 @@ from dataclasses import dataclass, field
 from collections.abc import Callable
 
 from repro.model.diagnostics import ConvergenceTrace
-from repro.model.parameters import SiteParameters, paper_sites
+from repro.model.parameters import SiteParameters
 from repro.obs.spans import span
 from repro.model.results import ModelSolution
 from repro.model.solver import CaratModel, ModelConfig
 from repro.model.types import BaseType
 from repro.model.workload import WorkloadSpec
 from repro.testbed.metrics import SimulationMeasurement
-from repro.testbed.system import simulate
 
 __all__ = ["ExperimentSpec", "SweepPoint", "ExperimentResult",
-           "run_experiment", "solve_sweep_models", "PAPER_SWEEP"]
+           "solve_sweep_models", "PAPER_SWEEP"]
 
 #: Transaction sizes the paper sweeps (§6).
 PAPER_SWEEP = (4, 8, 12, 16, 20)
@@ -205,8 +209,8 @@ def assemble_points(
     solution: ModelSolution,
     measurement: SimulationMeasurement | None,
 ) -> list[SweepPoint]:
-    """Build the sweep points of one ``n`` (shared with the parallel
-    runner so both paths produce bit-identical results)."""
+    """Build the sweep points of one ``n`` from its model solution and
+    (``None`` for model-only sweeps) its simulator measurement."""
     points: list[SweepPoint] = []
     trace_dict = (solution.trace.to_dict()
                   if solution.trace is not None else None)
@@ -234,45 +238,3 @@ def assemble_points(
             model_trace=trace_dict,
         ))
     return points
-
-
-def run_experiment(
-    spec: ExperimentSpec,
-    sites: dict[str, SiteParameters] | None = None,
-    sim_seed: int = 7,
-    sim_warmup_ms: float = 60_000.0,
-    sim_duration_ms: float = 600_000.0,
-    run_simulation: bool = True,
-    model_kwargs: dict | None = None,
-    warm_start: bool = False,
-    trace: bool = False,
-) -> ExperimentResult:
-    """Run the full sweep of one experiment.
-
-    ``run_simulation=False`` skips the (slower) simulator and reports
-    zeros in the sim columns — useful for model-only sanity sweeps.
-    ``warm_start=True`` chains the model solves across the sweep (see
-    :func:`solve_sweep_models`).  ``trace=True`` records a convergence
-    trace per model solve, attached to the sweep points as
-    ``model_trace`` (docs/diagnostics.md).
-
-    For fan-out across worker processes see
-    :func:`repro.experiments.parallel.run_experiments`, which produces
-    bit-identical results for the same arguments.
-    """
-    sites = sites or paper_sites()
-    workloads = [spec.workload_factory(n) for n in spec.sweep]
-    solutions = solve_sweep_models(workloads, sites, model_kwargs,
-                                   warm_start=warm_start, trace=trace)
-    points: list[SweepPoint] = []
-    for n, workload, solution in zip(spec.sweep, workloads, solutions):
-        if run_simulation:
-            with span("runner.point_simulate", exp=spec.exp_id, n=n):
-                measurement = simulate(
-                    workload, sites, seed=sim_seed,
-                    warmup_ms=sim_warmup_ms,
-                    duration_ms=sim_duration_ms)
-        else:
-            measurement = None
-        points += assemble_points(spec, n, solution, measurement)
-    return ExperimentResult(spec=spec, points=tuple(points))

@@ -209,7 +209,7 @@ class PlanEvaluator:
         scaled = scale_to_mpl(self.workload, mpl)
         digest = self._digest(scaled) if self.use_cache else None
         if digest is not None:
-            cached = self.cache.get_payload(digest)
+            cached = self.cache.get(digest)
             if cached is not None:
                 return self._hit(mpl, cached)
         model = CaratModel(
@@ -248,7 +248,7 @@ class PlanEvaluator:
                  "windows": windows, "snapshot": model.snapshot()}
         self._entries[mpl] = entry
         if digest is not None:
-            self.cache.put_payload(digest, entry)
+            self.cache.put(digest, entry)
         return entry
 
     def prefetch(self, mpls) -> None:
@@ -272,7 +272,7 @@ class PlanEvaluator:
             scaled = scale_to_mpl(self.workload, mpl)
             digest = self._digest(scaled) if self.use_cache else None
             if digest is not None:
-                cached = self.cache.get_payload(digest)
+                cached = self.cache.get(digest)
                 if cached is not None:
                     self._hit(mpl, cached)
                     continue
@@ -523,7 +523,7 @@ def prefetch_across(evaluators, mpl: int) -> None:
         scaled = scale_to_mpl(ev.workload, mpl)
         digest = ev._digest(scaled) if ev.use_cache else None
         if digest is not None:
-            cached = ev.cache.get_payload(digest)
+            cached = ev.cache.get(digest)
             if cached is not None:
                 ev._hit(mpl, cached)
                 continue

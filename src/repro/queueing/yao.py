@@ -130,11 +130,6 @@ def zipf_collision_multiplier(s: float, granules: int,
     return granules * touched / (requests * requests)
 
 
-def granules_upper_bound(records_accessed: int, granules: int) -> int:
-    """Trivial upper bound: one granule per record, capped at the db size."""
-    return min(records_accessed, granules)
-
-
 def binomial(n: int, k: int) -> int:
     """Exact binomial coefficient (exposed for the test suite)."""
     return math.comb(n, k)

@@ -190,13 +190,9 @@ def sample_family(fam: ScenarioFamily, seed: int, count: int,
     ``(family, seed)`` — never on *jobs*."""
     if count < 1:
         raise ConfigurationError("count must be >= 1")
-    if jobs is None or jobs != 1:
-        from repro.experiments.parallel import map_calls
-        samples = map_calls(_sample_item,
-                            [(fam, seed, i) for i in range(count)],
-                            jobs=jobs)
-    else:
-        samples = [sample_one(fam, seed, i) for i in range(count)]
+    from repro.experiments.parallel import map_calls
+    samples = map_calls(_sample_item,
+                        [(fam, seed, i) for i in range(count)], jobs=jobs)
     obs.add("scenario.sampled", float(count))
     return samples
 

@@ -78,7 +78,7 @@ def compare_scenario(scenario: ScenarioSpec,
              "duration_ms": duration_ms, "warmup_ms": warmup_ms,
              "quick": quick, "default_sites": sites is None},
             schema=SCENARIO_SCHEMA)
-        cached = cache.get_payload(key)
+        cached = cache.get(key)
         if cached is not None:
             return cached
     workload = compile_workload(scenario, n=n)
@@ -94,7 +94,7 @@ def compare_scenario(scenario: ScenarioSpec,
         "mix": scenario.normalized_mix(),
     }
     if cache is not None and key is not None:
-        cache.put_payload(key, report)
+        cache.put(key, report)
     return report
 
 
@@ -104,19 +104,15 @@ def compare_scenarios(scenarios: list[ScenarioSpec],
                       **kwargs: Any) -> tuple[list[dict[str, Any]], int]:
     """Residual reports for several scenarios plus the flagged count.
 
-    With ``jobs`` != 1 the per-scenario solve+simulate pairs fan out
-    over worker processes (:func:`~repro.experiments.parallel
-    .map_calls`); reports come back in scenario order either way.
+    The per-scenario solve+simulate pairs fan out over ``jobs`` worker
+    processes (:func:`~repro.experiments.parallel.map_calls`, inline
+    when ``jobs=1``); reports come back in scenario order either way.
     Emits ``scenario.compare_failures`` (scenarios with at least one
     comparable row beyond *max_residual*) to the active obs registry.
     """
-    if jobs is None or jobs != 1:
-        from repro.experiments.parallel import map_calls
-        reports = map_calls(compare_scenario, list(scenarios),
-                            jobs=jobs, kwargs=dict(kwargs))
-    else:
-        reports = [compare_scenario(scenario, **kwargs)
-                   for scenario in scenarios]
+    from repro.experiments.parallel import map_calls
+    reports = map_calls(compare_scenario, list(scenarios), jobs=jobs,
+                        kwargs=dict(kwargs))
     failures = 0
     if max_residual is not None:
         from repro.experiments.compare import flagged_rows

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from collections.abc import Generator, Iterable
+from collections.abc import Generator
 from typing import Any
 
 from repro.errors import SimulationError
@@ -209,11 +209,3 @@ class Simulator:
                 f"process {process.name!r} yielded {command!r}; expected "
                 f"Timeout, Wait, or Fork"
             )
-
-
-def run_all(sim: Simulator, generators: Iterable[Generator],
-            until: float) -> None:
-    """Spawn several processes and run the simulation to a horizon."""
-    for generator in generators:
-        sim.spawn(generator)
-    sim.run(until=until)

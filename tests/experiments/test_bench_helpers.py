@@ -3,8 +3,8 @@
 import pytest
 
 from repro.experiments import cache as cache_mod
-from repro.experiments.bench import (attach_series, cached_run,
-                                     run_repro, shape_checks)
+from repro.experiments.bench import attach_series, cached_run
+from repro.experiments.parallel import run_experiments
 from repro.experiments.runner import ExperimentSpec
 from repro.model.workload import lb8, mb4
 
@@ -31,12 +31,6 @@ def isolated_cache(tmp_path, monkeypatch):
 
 
 class TestRunRepro:
-    def test_model_only_run(self, spec, sites):
-        result = run_repro(spec, sites, (1_000.0, 10_000.0),
-                           run_simulation=False)
-        assert len(result.points) == 4
-        assert all(p.model_xput > 0 for p in result.points)
-
     def test_cached_run_reuses_sweep(self, sites):
         # Same workload, sweep, window and sites: one shared entry
         # even though the spec ids differ (fig5/6/7 render different
@@ -101,33 +95,9 @@ class TestRunRepro:
 
 class TestHelpers:
     def test_attach_series(self, spec, sites):
-        result = run_repro(spec, sites, (1_000.0, 10_000.0),
-                           run_simulation=False)
+        result = run_experiments([spec], sites, jobs=1,
+                                 run_simulation=False)[0]
         benchmark = _FakeBenchmark()
         attach_series(benchmark, result, "xput")
         assert "model_A" in benchmark.extra_info
         assert len(benchmark.extra_info["model_A"]) == 2
-
-    def test_shape_checks_pass_on_model_run(self, spec, sites):
-        result = run_repro(spec, sites, (1_000.0, 10_000.0),
-                           run_simulation=False)
-        shape_checks(result, "xput")   # must not raise
-
-    def test_shape_checks_detect_nonmonotone(self, spec, sites):
-        from repro.experiments.runner import (ExperimentResult,
-                                              SweepPoint)
-
-        def point(n, value):
-            return SweepPoint(
-                n=n, site="A", model_xput=value,
-                model_record_xput=1, model_cpu=0.5, model_dio=1,
-                sim_xput=0, sim_record_xput=0, sim_cpu=0, sim_dio=0,
-                sim_aborts_per_commit=0)
-
-        bad_spec = ExperimentSpec(exp_id="x", title="x",
-                                  workload_factory=lb8, sweep=(4, 8),
-                                  sites_of_interest=("A",))
-        bad = ExperimentResult(spec=bad_spec,
-                               points=(point(4, 0.5), point(8, 0.9)))
-        with pytest.raises(AssertionError):
-            shape_checks(bad, "xput")

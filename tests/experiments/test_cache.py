@@ -105,18 +105,28 @@ class TestResultCacheStore:
         assert default_cache_dir() == tmp_path / "x"
 
     def test_version_mismatch_is_a_miss(self, sites):
+        """Another version's entry, or this version's entry in the
+        pre-payload sweep layout ``{"version", "points"}``, reads as a
+        miss and the next run rewrites it with equal points."""
+        import pickle
         cache = ResultCache()
-        fetch_or_run_many([_spec()], sites, sim_warmup_ms=1_000.0,
-                          sim_duration_ms=10_000.0,
-                          run_simulation=False, cache=cache)
+        kwargs = dict(sim_warmup_ms=1_000.0, sim_duration_ms=10_000.0,
+                      run_simulation=False, cache=cache)
+        points = fetch_or_run_many([_spec()], sites, **kwargs)[0].points
         digest = _digest(_spec(), sites, run_simulation=False,
                          model_kwargs={"max_iterations": 1000})
-        import pickle
-        entry = pickle.loads(cache.path(digest).read_bytes())
-        entry["version"] = -1
-        cache.path(digest).write_bytes(pickle.dumps(entry))
-        cache_mod.clear_memory()
-        assert cache.get(digest) is None
+        stale_entries = [
+            {"version": -1, "payload": points},
+            {"version": cache_mod.CACHE_VERSION, "points": points},
+        ]
+        for stale in stale_entries:
+            cache.path(digest).write_bytes(pickle.dumps(stale))
+            cache_mod.clear_memory()
+            assert cache.get(digest) is None
+            again = fetch_or_run_many([_spec()], sites, **kwargs)
+            assert again[0].points == points
+            cache_mod.clear_memory()
+            assert cache.get(digest) == points
 
 
 class TestFetchOrRunMany:
@@ -169,10 +179,10 @@ class TestPayloadCache:
     def test_roundtrip_through_disk(self):
         cache = ResultCache()
         digest = cache_mod.payload_digest("test", {"k": 1})
-        assert cache.get_payload(digest) is None
-        cache.put_payload(digest, {"value": [1, 2, 3]})
+        assert cache.get(digest) is None
+        cache.put(digest, {"value": [1, 2, 3]})
         cache_mod.clear_memory()
-        assert ResultCache().get_payload(digest) == {"value": [1, 2, 3]}
+        assert ResultCache().get(digest) == {"value": [1, 2, 3]}
 
     # "garbage\n" starts with the 'g' pickle opcode, which raises
     # ValueError (not UnpicklingError) — both must read as misses.
@@ -181,16 +191,7 @@ class TestPayloadCache:
     def test_corrupt_payload_is_a_miss(self, junk):
         cache = ResultCache()
         digest = cache_mod.payload_digest("test", {"k": 2})
-        cache.put_payload(digest, "fine")
+        cache.put(digest, "fine")
         cache_mod.clear_memory()
         cache.path(digest).write_bytes(junk)
-        assert cache.get_payload(digest) is None
-
-    def test_sweep_entry_is_not_a_payload(self):
-        """get_payload refuses entries written by put (and vice
-        versa): the two layouts never alias."""
-        cache = ResultCache()
-        digest = cache_mod.payload_digest("test", {"k": 3})
-        cache.put(digest, ())
-        cache_mod.clear_memory()
-        assert cache.get_payload(digest) is None
+        assert cache.get(digest) is None

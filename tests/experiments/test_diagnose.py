@@ -11,7 +11,8 @@ from repro.experiments import cache as cache_mod
 from repro.experiments.cache import (ResultCache, fetch_or_run_many,
                                      run_digest, CacheStats)
 from repro.experiments.diagnose import diagnose_report, render_json
-from repro.experiments.runner import ExperimentSpec, run_experiment
+from repro.experiments.parallel import run_experiments
+from repro.experiments.runner import ExperimentSpec
 from repro.model.workload import mb4
 
 
@@ -69,15 +70,16 @@ class TestDiagnoseReport:
 
 class TestTraceWiring:
     def test_runner_attaches_traces(self, sites):
-        result = run_experiment(_spec(), sites, run_simulation=False,
-                                trace=True)
+        result = run_experiments([_spec()], sites, jobs=1,
+                                 run_simulation=False, trace=True)[0]
         assert all(p.model_trace is not None for p in result.points)
         summaries = {p.n: p.model_trace["summary"]
                      for p in result.points}
         assert all(s["converged"] for s in summaries.values())
 
     def test_runner_default_has_no_traces(self, sites):
-        result = run_experiment(_spec(), sites, run_simulation=False)
+        result = run_experiments([_spec()], sites, jobs=1,
+                                 run_simulation=False)[0]
         assert all(p.model_trace is None for p in result.points)
 
     def test_digest_differs_with_trace_flag(self, sites):
@@ -104,7 +106,6 @@ class TestTraceWiring:
         assert second.points[0].model_trace["summary"]["converged"]
 
     def test_parallel_trace(self, sites):
-        from repro.experiments.parallel import run_experiments
         results = run_experiments([_spec()], sites=sites, jobs=2,
                                   run_simulation=False, trace=True)
         assert all(p.model_trace is not None

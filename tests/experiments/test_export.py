@@ -8,8 +8,8 @@ import pytest
 from repro.experiments.catalog import experiment
 from repro.experiments.export import (experiment_to_csv,
                                       paper_reference_to_csv)
-from repro.experiments.runner import ExperimentResult, ExperimentSpec, \
-    run_experiment
+from repro.experiments.parallel import run_experiments
+from repro.experiments.runner import ExperimentResult, ExperimentSpec
 from repro.model.workload import mb4
 
 
@@ -19,7 +19,8 @@ def result(sites):
         exp_id="tab5", title="t", workload_factory=mb4, sweep=(4, 8),
         paper_model=experiment("tab5").paper_model,
         paper_measured=experiment("tab5").paper_measured)
-    return run_experiment(spec, sites=sites, run_simulation=False)
+    return run_experiments([spec], sites=sites, jobs=1,
+                           run_simulation=False)[0]
 
 
 class TestExperimentCsv:

@@ -4,14 +4,19 @@ import pytest
 
 from repro.experiments.parallel import (ParallelExecutionError, _SimTask,
                                         _fan_out, resolve_jobs,
-                                        run_experiment_parallel,
                                         run_experiments)
 from repro.experiments.runner import (PAPER_SWEEP, ExperimentSpec,
-                                      run_experiment, solve_sweep_models)
+                                      solve_sweep_models)
 from repro.model.workload import lb8, mb4, mb8
 
 #: Short window: enough simulated time for every chain to commit.
 WINDOW = {"sim_warmup_ms": 2_000.0, "sim_duration_ms": 20_000.0}
+
+
+def _run(spec, sites, jobs=1, **kwargs):
+    """One experiment through :func:`run_experiments`; ``jobs=1`` is
+    the inline reference every fan-out must reproduce bit for bit."""
+    return run_experiments([spec], sites, jobs=jobs, **kwargs)[0]
 
 
 @pytest.fixture
@@ -23,14 +28,13 @@ def spec():
 
 class TestParallelMatchesSerial:
     def test_bit_identical_points(self, spec, sites):
-        serial = run_experiment(spec, sites, **WINDOW)
-        parallel = run_experiment_parallel(spec, sites, jobs=3, **WINDOW)
+        serial = _run(spec, sites, **WINDOW)
+        parallel = _run(spec, sites, jobs=3, **WINDOW)
         assert serial.points == parallel.points
 
     def test_bit_identical_with_warm_start(self, spec, sites):
-        serial = run_experiment(spec, sites, warm_start=True, **WINDOW)
-        parallel = run_experiment_parallel(spec, sites, jobs=3,
-                                           warm_start=True, **WINDOW)
+        serial = _run(spec, sites, warm_start=True, **WINDOW)
+        parallel = _run(spec, sites, jobs=3, warm_start=True, **WINDOW)
         assert serial.points == parallel.points
 
     def test_multiple_specs_ordered(self, sites):
@@ -43,19 +47,17 @@ class TestParallelMatchesSerial:
         results = run_experiments(specs, sites, jobs=4, **WINDOW)
         assert [r.spec.exp_id for r in results] == ["a", "b"]
         for spec_, result in zip(specs, results):
-            serial = run_experiment(spec_, sites, **WINDOW)
+            serial = _run(spec_, sites, **WINDOW)
             assert serial.points == result.points
 
     def test_model_only(self, spec, sites):
-        result = run_experiment_parallel(spec, sites, jobs=2,
-                                         run_simulation=False, **WINDOW)
+        result = _run(spec, sites, jobs=2, run_simulation=False, **WINDOW)
         assert all(p.model_xput > 0 and p.sim_xput == 0.0
                    for p in result.points)
 
     def test_more_jobs_than_tasks(self, spec, sites):
-        result = run_experiment_parallel(spec, sites, jobs=32, **WINDOW)
-        assert result.points == run_experiment(spec, sites,
-                                               **WINDOW).points
+        result = _run(spec, sites, jobs=32, **WINDOW)
+        assert result.points == _run(spec, sites, **WINDOW).points
 
 
 class TestWarmStart:
@@ -63,9 +65,8 @@ class TestWarmStart:
         spec_ = ExperimentSpec(exp_id="w", title="w",
                                workload_factory=mb8, sweep=PAPER_SWEEP,
                                sites_of_interest=("A", "B"))
-        cold = run_experiment(spec_, sites, run_simulation=False)
-        warm = run_experiment(spec_, sites, run_simulation=False,
-                              warm_start=True)
+        cold = _run(spec_, sites, run_simulation=False)
+        warm = _run(spec_, sites, run_simulation=False, warm_start=True)
         for p_cold, p_warm in zip(cold.points, warm.points):
             assert p_warm.model_xput == pytest.approx(
                 p_cold.model_xput, rel=1e-3)

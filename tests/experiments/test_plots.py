@@ -58,14 +58,14 @@ class TestRenderChart:
 class TestFigureChart:
     def test_from_experiment_result(self, sites):
         from repro.experiments.plots import figure_chart
-        from repro.experiments.runner import ExperimentSpec, \
-            run_experiment
+        from repro.experiments.parallel import run_experiments
+        from repro.experiments.runner import ExperimentSpec
         from repro.model.workload import lb8
         spec = ExperimentSpec(exp_id="x", title="x",
                               workload_factory=lb8, sweep=(4, 8),
                               sites_of_interest=("B",))
-        result = run_experiment(spec, sites=sites,
-                                run_simulation=False)
+        result = run_experiments([spec], sites=sites, jobs=1,
+                                 run_simulation=False)[0]
         chart = figure_chart(result, "B", "xput", "throughput")
         assert "node B" in chart.text
         assert chart.y_max > 0

@@ -6,7 +6,8 @@ from repro.experiments.catalog import experiment
 from repro.experiments.report import (render_figure_series,
                                       render_per_type_table,
                                       render_summary_table)
-from repro.experiments.runner import ExperimentSpec, run_experiment
+from repro.experiments.parallel import run_experiments
+from repro.experiments.runner import ExperimentSpec
 from repro.model.types import BaseType
 from repro.model.workload import mb4
 
@@ -18,15 +19,17 @@ def small_result(sites):
         exp_id="tab5", title="Table 5 (test)", workload_factory=mb4,
         sweep=(4, 8), paper_model=experiment("tab5").paper_model,
         paper_measured=experiment("tab5").paper_measured)
-    return run_experiment(spec, sites=sites, run_simulation=False)
+    return run_experiments([spec], sites=sites, jobs=1,
+                           run_simulation=False)[0]
 
 
 @pytest.fixture(scope="module")
 def simulated_result(sites):
     spec = ExperimentSpec(
         exp_id="mini", title="mini", workload_factory=mb4, sweep=(4,))
-    return run_experiment(spec, sites=sites, sim_warmup_ms=5_000.0,
-                          sim_duration_ms=60_000.0)
+    return run_experiments([spec], sites=sites, jobs=1,
+                           sim_warmup_ms=5_000.0,
+                           sim_duration_ms=60_000.0)[0]
 
 
 class TestRunner:

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.catalog import experiment
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.experiments.parallel import run_experiments
+from repro.experiments.runner import ExperimentResult
 from repro.experiments.validate import (compare_series, model_vs_paper,
                                         model_vs_sim)
 
@@ -45,8 +46,8 @@ class TestCompareSeries:
 class TestAgainstPaper:
     @pytest.fixture(scope="class")
     def tab3_model_only(self, sites):
-        return run_experiment(experiment("tab3"), sites=sites,
-                              run_simulation=False)
+        return run_experiments([experiment("tab3")], sites=sites,
+                               jobs=1, run_simulation=False)[0]
 
     def test_model_vs_published_model_tight_on_cpu(self,
                                                    tab3_model_only):

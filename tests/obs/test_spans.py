@@ -31,15 +31,15 @@ class TestRecording:
             with span("runner.sweep_run"):
                 with span("runner.sweep_solve"):
                     pass
-                with span("runner.point_simulate"):
+                with span("parallel.task_run"):
                     pass
         by_name = {record.name: record for record in registry.spans}
         assert set(by_name) == {"runner.sweep_run",
                                 "runner.sweep_solve",
-                                "runner.point_simulate"}
+                                "parallel.task_run"}
         root = by_name["runner.sweep_run"]
         assert root.parent is None and root.depth == 0
-        for child in ("runner.sweep_solve", "runner.point_simulate"):
+        for child in ("runner.sweep_solve", "parallel.task_run"):
             assert by_name[child].parent == "runner.sweep_run"
             assert by_name[child].depth == 1
         # Children finish before the parent, so they record first.

@@ -1,12 +1,11 @@
-"""Coverage for remaining paths: think time in the simulator, the
-run_all helper, multi-site open rates, trace dump filtering."""
+"""Coverage for remaining paths: think time in the simulator,
+multi-site open rates, trace dump filtering."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.model.types import BaseType
 from repro.model.workload import WorkloadSpec, mb4
-from repro.testbed.des import Simulator, Timeout, run_all
 from repro.testbed.locks import LockMode
 from repro.testbed.serializability import (AccessRecord,
                                            CommittedTransaction,
@@ -41,20 +40,6 @@ class TestThinkTimeInSimulator:
                     == pytest.approx(
                         sim.site(node).transaction_throughput_per_s,
                         rel=0.2))
-
-
-class TestDesRunAll:
-    def test_spawns_and_runs_to_horizon(self):
-        sim = Simulator()
-        log = []
-
-        def proc(name):
-            yield Timeout(5.0)
-            log.append(name)
-
-        run_all(sim, [proc("a"), proc("b")], until=10.0)
-        assert sorted(log) == ["a", "b"]
-        assert sim.now == 10.0
 
 
 class TestConflictGraphProperties:
