@@ -1,8 +1,8 @@
 """Perf-baseline suite: one ``BENCH_*.json`` record per benchmark and
 the CI regression gate.
 
-Three runners time the §6 solver stack, one layer each, and all return
-the same :class:`BenchRecord`:
+Four runners time one layer each, and all return the same
+:class:`BenchRecord`:
 
 * ``sweep`` (:func:`run_suite`) — one model-only traced experiment
   sweep per paper figure/table family, through the content-addressed
@@ -10,7 +10,9 @@ the same :class:`BenchRecord`:
 * ``kernel`` (:func:`run_kernel_bench`) — the MVA kernels: single
   solves and one stacked batch;
 * ``outer`` (:func:`run_outer_bench`) — the outer fixed point: a sweep
-  solved point by point through the scalar oracle vs. one batched call.
+  solved point by point through the scalar oracle vs. one batched call;
+* ``des`` (:func:`run_des_bench`) — the simulator's event loop: one
+  seeded ``--quick`` simulation of a Table 3 point.
 
 :func:`write_records` emits one ``BENCH_<name>.json`` per record; the
 first set is committed under ``benchmarks/baselines/`` and CI compares
@@ -19,8 +21,8 @@ dict: ``counters`` are deterministic and ``speedup`` values are
 ratios of two timings taken in the same run, so both carry the strict
 :data:`TOLERANCE`; ``wall_ms`` uses a separate, looser time tolerance
 because shared CI runners are noisy; ``detail`` is never gated.
-Start-up, simulator and whole-command timings are measured by
-``benchmarks/e2e``.  Semantics are documented in docs/diagnostics.md.
+Start-up and whole-command timings are measured by ``benchmarks/e2e``.
+Semantics are documented in docs/diagnostics.md.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "run_suite",
     "run_kernel_bench",
     "run_outer_bench",
+    "run_des_bench",
     "write_records",
     "load_records",
     "compare_records",
@@ -71,6 +74,14 @@ KERNEL_BATCH = 64
 #: MB8 distributed-update sweep — the heaviest of the suite).
 OUTER_SWEEP = "tab3"
 
+#: The DES benchmark's simulation: tab3's MB8 workload at n=8 with the
+#: sweeps' default simulator seed, in the ``--quick`` window
+#: (warm-up, measured) in ms.
+DES_SWEEP = "tab3"
+DES_N = 8
+DES_SEED = 7
+DES_WINDOW_MS = (12_000.0, 120_000.0)
+
 #: Allowed relative regression of the counters and speedups, and the
 #: default time tolerance.
 TOLERANCE = 0.25
@@ -78,7 +89,13 @@ TOLERANCE = 0.25
 #: Absolute slack added to a layer's wall-time thresholds: differences
 #: below it are scheduler jitter (a warm cache hit takes ~2 ms and a
 #: single kernel solve well under 1 ms; a blip is not a regression).
-NOISE_FLOOR_MS = {"sweep": 100.0, "outer": 100.0, "kernel": 0.1, "pytest": 100.0}
+NOISE_FLOOR_MS = {
+    "sweep": 100.0,
+    "outer": 100.0,
+    "kernel": 0.1,
+    "des": 100.0,
+    "pytest": 100.0,
+}
 
 
 @dataclass(frozen=True)
@@ -314,6 +331,49 @@ def run_outer_bench(sweep: str = OUTER_SWEEP, repeats: int = 3) -> BenchRecord:
     )
 
 
+def run_des_bench(
+    sweep: str = DES_SWEEP, n: int = DES_N, repeats: int = 2
+) -> BenchRecord:
+    """Time the simulator's event loop on one seeded simulation of
+    *sweep*'s workload at population *n* in the ``--quick`` window.
+
+    The run is deterministic, so the processed DES events and the
+    commits are exact counters; ``wall_ms["run"]`` is the best of
+    *repeats* runs and ``detail["events_per_s"]`` the event rate of
+    that best run.
+    """
+    from repro.model.parameters import paper_sites
+    from repro.testbed.system import CaratSimulation, SimulationConfig
+
+    warmup_ms, duration_ms = DES_WINDOW_MS
+    config = SimulationConfig(
+        workload=experiment(sweep).workload_factory(n),
+        sites=paper_sites(),
+        seed=DES_SEED,
+        warmup_ms=warmup_ms,
+        duration_ms=duration_ms,
+    )
+    best = float("inf")
+    for _ in range(max(1, repeats)):
+        simulation = CaratSimulation(config)
+        t0 = time.perf_counter()
+        measurement = simulation.run()
+        best = min(best, (time.perf_counter() - t0) * 1e3)
+    events = simulation.sim._steps
+    return BenchRecord(
+        layer="des",
+        name="des",
+        counters={"des_events": events, "commits": measurement.total_commits()},
+        wall_ms={"run": best},
+        detail={
+            "events_per_s": events / (best / 1e3),
+            "sweep": sweep,
+            "n": n,
+            "seed": DES_SEED,
+        },
+    )
+
+
 def write_records(
     records: Iterable[BenchRecord], directory: str | os.PathLike
 ) -> list[Path]:
@@ -440,7 +500,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
 def run(args: argparse.Namespace) -> int:
     """Run every benchmark, then write and/or gate the records as
     *args* (from :func:`add_arguments`) ask."""
-    records = [*run_suite(), run_kernel_bench(), run_outer_bench()]
+    records = [*run_suite(), run_kernel_bench(), run_outer_bench(), run_des_bench()]
     for record in records:
         print(_summary(record))
     if args.output_dir:

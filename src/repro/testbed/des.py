@@ -14,14 +14,16 @@ generators that ``yield`` *commands*:
     receive its :class:`Process` handle.
 
 The kernel is deterministic: simultaneous events fire in scheduling
-order (a monotonically increasing sequence number breaks time ties).
+order.  Each heap entry is a ``(time, seq, process, payload)`` tuple
+whose ``seq`` is unique and increasing, so ``(time, seq)`` orders
+every entry and ties never compare the process.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+import math
 from collections.abc import Generator
+from heapq import heappop, heappush
 from typing import Any
 
 from repro.errors import SimulationError
@@ -53,39 +55,52 @@ class Event:
         self.payload = payload
         waiters, self._waiters = self._waiters, []
         for process in waiters:
-            self._sim._schedule(self._sim.now, process, payload)
+            self._sim._wake(process, payload)
 
     def add_waiter(self, process: Process) -> None:
         if self.fired:
-            self._sim._schedule(self._sim.now, process, self.payload)
+            self._sim._wake(process, self.payload)
         else:
             self._waiters.append(process)
 
 
-@dataclass(frozen=True)
 class Timeout:
     """Yieldable: suspend the process for ``delay`` time units."""
 
-    delay: float
+    __slots__ = ("delay",)
 
-    def __post_init__(self) -> None:
-        if self.delay < 0:
-            raise SimulationError(f"negative timeout {self.delay}")
+    def __init__(self, delay: float):
+        if delay < 0:
+            raise SimulationError(f"negative timeout {delay}")
+        self.delay = delay
+
+    def __repr__(self) -> str:
+        return f"Timeout({self.delay!r})"
 
 
-@dataclass(frozen=True)
 class Wait:
     """Yieldable: suspend until ``event`` fires."""
 
-    event: Event
+    __slots__ = ("event",)
+
+    def __init__(self, event: Event):
+        self.event = event
+
+    def __repr__(self) -> str:
+        return f"Wait({self.event!r})"
 
 
-@dataclass(frozen=True)
 class Fork:
     """Yieldable: start a child process; resumes immediately with its
     :class:`Process` handle."""
 
-    generator: Generator
+    __slots__ = ("generator",)
+
+    def __init__(self, generator: Generator):
+        self.generator = generator
+
+    def __repr__(self) -> str:
+        return f"Fork({self.generator!r})"
 
 
 class Process:
@@ -102,14 +117,6 @@ class Process:
         self.completion = Event(sim)
 
 
-@dataclass(order=True)
-class _Scheduled:
-    time: float
-    seq: int
-    process: Process = field(compare=False)
-    payload: Any = field(compare=False, default=None)
-
-
 class Simulator:
     """The event loop.
 
@@ -122,8 +129,10 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[_Scheduled] = []
+        #: ``(time, seq, process, payload)`` entries
+        self._heap: list[tuple[float, int, Process, Any]] = []
         self._seq = 0
+        #: events processed so far (``benchmarks/e2e`` reports it)
         self._steps = 0
 
     # -- process management ------------------------------------------------
@@ -131,22 +140,17 @@ class Simulator:
     def spawn(self, generator: Generator, name: str = "") -> Process:
         """Register a new process and schedule its first step now."""
         process = Process(self, generator, name)
-        self._schedule(self.now, process, None)
+        self._wake(process, None)
         return process
 
     def event(self) -> Event:
         """Create a fresh one-shot event."""
         return Event(self)
 
-    def _schedule(self, time: float, process: Process,
-                  payload: Any) -> None:
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule into the past ({time} < {self.now})"
-            )
+    def _wake(self, process: Process, payload: Any) -> None:
+        """Schedule *process* to resume at the current time."""
         self._seq += 1
-        heapq.heappush(self._heap, _Scheduled(time, self._seq, process,
-                                              payload))
+        heappush(self._heap, (self.now, self._seq, process, payload))
 
     # -- main loop ----------------------------------------------------------
 
@@ -158,54 +162,65 @@ class Simulator:
         ----------
         until:
             Simulation-time horizon; events scheduled beyond it stay
-            queued (so a subsequent ``run`` can continue).
+            queued (so a subsequent ``run`` can continue).  A horizon
+            earlier than ``now`` is a
+            :class:`~repro.errors.SimulationError`.
         max_steps:
             Safety budget on processed events;
             :class:`~repro.errors.SimulationError` when exceeded.
         """
-        while self._heap:
-            if until is not None and self._heap[0].time > until:
-                self.now = until
-                return
-            item = heapq.heappop(self._heap)
-            self.now = item.time
-            self._steps += 1
-            if max_steps is not None and self._steps > max_steps:
-                raise SimulationError(
-                    f"simulation exceeded {max_steps} steps"
-                )
-            self._step(item.process, item.payload)
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"horizon {until} is earlier than now ({self.now})"
+            )
+        horizon = math.inf if until is None else until
+        budget = math.inf if max_steps is None else max_steps
+        heap = self._heap
+        step = self._step
+        steps = self._steps
+        try:
+            while heap:
+                if heap[0][0] > horizon:
+                    break
+                time, _, process, payload = heappop(heap)
+                self.now = time
+                steps += 1
+                if steps > budget:
+                    raise SimulationError(
+                        f"simulation exceeded {max_steps} steps"
+                    )
+                step(process, payload)
+        finally:
+            self._steps = steps
         if until is not None:
             self.now = until
 
     def _step(self, process: Process, payload: Any) -> None:
         if process.done:
             return
+        generator = process.generator
         try:
-            command = process.generator.send(payload)
+            command = generator.send(payload)
+            while True:
+                # Exact-type checks first: they are the hot path, and
+                # isinstance keeps subclasses of the commands working.
+                kind = type(command)
+                if kind is Timeout or isinstance(command, Timeout):
+                    # delay >= 0 was checked when the Timeout was made.
+                    self._seq += 1
+                    heappush(self._heap, (self.now + command.delay,
+                                          self._seq, process, None))
+                    return
+                if kind is Wait or isinstance(command, Wait):
+                    command.event.add_waiter(process)
+                    return
+                if not isinstance(command, Fork):
+                    raise SimulationError(
+                        f"process {process.name!r} yielded {command!r}; "
+                        f"expected Timeout, Wait, or Fork"
+                    )
+                command = generator.send(self.spawn(command.generator))
         except StopIteration as stop:
             process.done = True
             process.result = stop.value
             process.completion.fire(stop.value)
-            return
-        while True:
-            if isinstance(command, Timeout):
-                self._schedule(self.now + command.delay, process, None)
-                return
-            if isinstance(command, Wait):
-                command.event.add_waiter(process)
-                return
-            if isinstance(command, Fork):
-                child = self.spawn(command.generator)
-                try:
-                    command = process.generator.send(child)
-                except StopIteration as stop:
-                    process.done = True
-                    process.result = stop.value
-                    process.completion.fire(stop.value)
-                    return
-                continue
-            raise SimulationError(
-                f"process {process.name!r} yielded {command!r}; expected "
-                f"Timeout, Wait, or Fork"
-            )

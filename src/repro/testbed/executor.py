@@ -16,12 +16,13 @@ so model and "measurement" stay comparable (paper §6).
 
 from __future__ import annotations
 
+import bisect
 import random
 import zlib
 from collections.abc import Generator
 from typing import TYPE_CHECKING
 
-from repro.model.types import BaseType, Phase
+from repro.model.types import BaseType, ChainType, Phase
 from repro.testbed.des import Fork, Timeout, Wait
 from repro.testbed.locks import LockRequestOutcome
 from repro.testbed.node import CaratNode
@@ -39,6 +40,12 @@ __all__ = ["UserProcess"]
 GRANTED = "granted"
 ABORTED = "aborted"
 
+#: Chain type whose row of the basic cost table a base type uses.
+_HOME_CHAIN = {
+    BaseType.LRO: ChainType.LRO, BaseType.LU: ChainType.LU,
+    BaseType.DRO: ChainType.DROC, BaseType.DU: ChainType.DUC,
+}
+
 
 class UserProcess:
     """One user terminal submitting transactions of a fixed base type."""
@@ -55,6 +62,11 @@ class UserProcess:
         material = f"{system.config.seed}:{home}:{base.value}:{user_index}"
         self.rng = random.Random(zlib.crc32(material.encode("ascii")))
         self._seq = 0
+        #: cost-table chain and its basic cost row per site name,
+        #: resolved once
+        self._chain = _HOME_CHAIN[base]
+        self._costs = {name: node.params.costs_for(self._chain)
+                       for name, node in system.nodes.items()}
 
     # ------------------------------------------------------------------
     # main loop
@@ -229,11 +241,8 @@ class UserProcess:
         workload = self.system.workload
         if self.base.is_distributed:
             # Use the same l/r split as the model's coordinator chain.
-            from repro.model.types import ChainType
-            chain = (ChainType.DUC if self.base is BaseType.DU
-                     else ChainType.DROC)
-            local = workload.local_requests(chain)
-            remote = workload.remote_requests(chain)
+            local = workload.local_requests(self._chain)
+            remote = workload.remote_requests(self._chain)
         else:
             local = workload.requests_per_txn
             remote = 0
@@ -270,11 +279,11 @@ class UserProcess:
                      kind: str,
                      clock: SpanClock | None = None) -> Generator:
         """One TDO request; returns None or the abort-trigger site."""
-        costs = home.params.costs_for(self._home_chain())
+        costs = self._costs[self.home]
         metrics = self.system.metrics
         # U phase: the user process prepares the request.
         self._mark(clock, self.home, Phase.U)
-        yield from home.use_cpu(costs.u_cpu)
+        yield from home.cpu.use(costs.u_cpu)
         # TM dispatch (TDO -> DOSTEP or REMDO).
         self._mark(clock, self.home, Phase.TM)
         yield from home.tm_message(costs.tm_cpu)
@@ -284,7 +293,7 @@ class UserProcess:
         else:
             target_name = self.rng.choice(txn.sites[1:])
             target = self.system.nodes[target_name]
-            remote_costs = target.params.costs_for(self._home_chain())
+            remote_costs = self._costs[target_name]
             # Network latency is RW at home; the inline processing at
             # the target is attributed to the target's own phases (the
             # model's slave-chain work).
@@ -305,27 +314,19 @@ class UserProcess:
         metrics.event(self.home, self.base, "tm_msg")
         return outcome
 
-    def _home_chain(self):
-        """Chain type used to index the basic cost table."""
-        from repro.model.types import ChainType
-        return {
-            BaseType.LRO: ChainType.LRO, BaseType.LU: ChainType.LU,
-            BaseType.DRO: ChainType.DROC, BaseType.DU: ChainType.DUC,
-        }[self.base]
-
     def _dm_request(self, txn: Transaction, node: CaratNode,
                     clock: SpanClock | None = None) -> Generator:
         """DM server executes one request at *node*; returns None on
         success or the node name on deadlock abort."""
         workload = self.system.workload
-        costs = node.params.costs_for(self._home_chain())
+        costs = self._costs[node.name]
         state = txn.state(node.name)
         records = self._pick_records(node, workload.records_per_request)
         for record in records:
             granule = node.storage.granule_of(record)
             # DM processing between lock requests.
             self._mark(clock, node.name, Phase.DM)
-            yield from node.use_cpu(costs.dm_cpu)
+            yield from node.cpu.use(costs.dm_cpu)
             if granule in state.held:
                 continue
             outcome = yield from self._acquire_lock(txn, node, granule,
@@ -334,13 +335,13 @@ class UserProcess:
                 return outcome
             state.held.add(granule)
             self._mark(clock, node.name, Phase.DMIO)
-            yield from node.use_cpu(costs.dmio_cpu)
+            yield from node.cpu.use(costs.dmio_cpu)
             self.system.metrics.event(node.name, self.base,
                                       "granule_access")
             yield from self._granule_io(txn, node, granule)
         # Final DM processing before the response message.
         self._mark(clock, node.name, Phase.DM)
-        yield from node.use_cpu(costs.dm_cpu)
+        yield from node.cpu.use(costs.dm_cpu)
         return None
 
     def _pick_records(self, node: CaratNode, count: int) -> list[int]:
@@ -367,7 +368,6 @@ class UserProcess:
         proportional to ``(i + 1)^-s``, then a uniform record within
         the granule, retrying duplicates until ``count`` are distinct
         (mirrors the model's collision-multiplier view of the skew)."""
-        import bisect
         cdf = self.system.zipf_cdf(node.name)
         per_granule = node.storage.records_per_granule
         picked: set[int] = set()
@@ -383,9 +383,9 @@ class UserProcess:
                       granule: int,
                       clock: SpanClock | None = None) -> Generator:
         """LR phase: lock request, possible LW wait, deadlock handling."""
-        costs = node.params.costs_for(self._home_chain())
+        costs = self._costs[node.name]
         self._mark(clock, node.name, Phase.LR)
-        yield from node.use_cpu(costs.lr_cpu)
+        yield from node.cpu.use(costs.lr_cpu)
         self.system.metrics.event(node.name, self.base, "lock_request")
         wait = self.sim.event()
         outcome = node.locks.request(
@@ -455,10 +455,10 @@ class UserProcess:
                 clock: SpanClock | None = None) -> Generator:
         """TEND: local commit or centralized two-phase commit."""
         protocol = home.params.protocol
-        costs = home.params.costs_for(self._home_chain())
+        costs = self._costs[self.home]
         # The user prepares the TEND message (last U-phase visit).
         self._mark(clock, self.home, Phase.U)
-        yield from home.use_cpu(costs.u_cpu)
+        yield from home.cpu.use(costs.u_cpu)
         if not txn.is_distributed:
             home.journal.append(RecordType.COMMIT, txn.txn_id)
             force = (protocol.coordinator_commit_ios
@@ -500,7 +500,7 @@ class UserProcess:
 
         Branches are forked (own timelines, no clock); the coordinator
         observes them as CWC — the model's 2PC commit-wait center."""
-        costs = home.params.costs_for(self._home_chain())
+        costs = self._costs[self.home]
         processes = []
         for branch in branches:
             process = yield Fork(branch)
@@ -515,7 +515,7 @@ class UserProcess:
                     node: CaratNode) -> Generator:
         """PREPARE processing at one slave site."""
         protocol = node.params.protocol
-        costs = node.params.costs_for(self._home_chain())
+        costs = self._costs[node.name]
         yield Timeout(self.system.alpha_ms)
         force = 0
         if self.base.is_update and protocol.slave_commit_ios >= 1:
@@ -530,7 +530,7 @@ class UserProcess:
                    node: CaratNode) -> Generator:
         """COMMIT processing and lock release at one slave site."""
         protocol = node.params.protocol
-        costs = node.params.costs_for(self._home_chain())
+        costs = self._costs[node.name]
         yield Timeout(self.system.alpha_ms)
         force = 0
         if self.base.is_update and protocol.slave_commit_ios >= 2:
@@ -547,7 +547,7 @@ class UserProcess:
         protocol = node.params.protocol
         state = txn.state(node.name)
         if state.held:
-            yield from node.use_cpu(
+            yield from node.cpu.use(
                 protocol.unlock_cpu_per_lock * len(state.held))
         node.locks.release_all(txn.txn_id)
         state.held.clear()
@@ -573,7 +573,7 @@ class UserProcess:
             state = txn.state(site)
             if state.before_images:
                 undo = len(state.before_images)
-                yield from node.use_cpu(
+                yield from node.cpu.use(
                     protocol.undo_cpu_per_granule * undo)
                 for granule, image in state.before_images.items():
                     node.storage.write_block(granule, image, flush=True)

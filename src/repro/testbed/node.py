@@ -52,10 +52,6 @@ class CaratNode:
 
     # -- elementary charging helpers ----------------------------------------
 
-    def use_cpu(self, duration_ms: float) -> Generator:
-        """Queue for and consume CPU time."""
-        yield from self.cpu.use(duration_ms)
-
     def disk_read(self, count: int = 1) -> Generator:
         """Perform *count* database-disk block reads (buffer hits are
         decided by the caller)."""

@@ -18,6 +18,10 @@ from repro.testbed.des import Event, Simulator, Timeout, Wait
 
 __all__ = ["FcfsResource", "CountingPool", "Mailbox"]
 
+#: Shared zero-delay step: a request served at once still costs one
+#: scheduling step at ``now``, exactly like waking on a fired event.
+_NOW = Timeout(0.0)
+
 
 class FcfsResource:
     """A single exponential-or-deterministic server with a FIFO queue.
@@ -51,7 +55,7 @@ class FcfsResource:
         if duration < 0:
             raise SimulationError(f"negative service time {duration}")
         grant = self._request()
-        yield Wait(grant)
+        yield _NOW if grant is None else Wait(grant)
         yield Timeout(duration)
         self._release()
 
@@ -62,20 +66,21 @@ class FcfsResource:
         the resource (e.g. the TM server force-writing a log record).
         """
         grant = self._request()
-        yield Wait(grant)
+        yield _NOW if grant is None else Wait(grant)
 
     def release(self) -> None:
         """Release a hold taken with :meth:`acquire`."""
         self._release()
 
-    def _request(self) -> Event:
-        grant = self.sim.event()
+    def _request(self) -> Event | None:
+        """Take the idle server (None) or queue for it (the grant
+        event, fired on hand-over)."""
         if not self._busy and not self._queue:
             self._busy = True
             self._busy_since = self.sim.now
-            grant.fire()
-        else:
-            self._queue.append(grant)
+            return None
+        grant = self.sim.event()
+        self._queue.append(grant)
         return grant
 
     def _release(self) -> None:
@@ -135,7 +140,7 @@ class CountingPool:
         """Take one server; blocks while none are free."""
         if self._in_use < self.size and not self._waiters:
             self._grant()
-            yield Timeout(0.0)
+            yield _NOW
             return
         self.wait_count += 1
         waiter = self.sim.event()
@@ -191,7 +196,7 @@ class Mailbox:
             # Yield a zero timeout so receive always costs one
             # scheduling step; keeps FIFO fairness among receivers.
             message = self._messages.popleft()
-            yield Timeout(0.0)
+            yield _NOW
             return message
         receiver = self.sim.event()
         self._receivers.append(receiver)

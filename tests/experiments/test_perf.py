@@ -13,8 +13,9 @@ from repro.experiments import cache as cache_mod
 from repro.experiments import perf as perf_mod
 from repro.experiments.perf import (BENCH_SCHEMA, BenchRecord,
                                     compare_records, load_records,
-                                    run_kernel_bench, run_outer_bench,
-                                    run_suite, write_records)
+                                    run_des_bench, run_kernel_bench,
+                                    run_outer_bench, run_suite,
+                                    write_records)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BASELINES = REPO_ROOT / "benchmarks" / "baselines"
@@ -61,6 +62,15 @@ def _outer_record(**overrides):
         "wall_ms": {"batch": 150.0},
         "speedup": {"batch": 3.3},
         "detail": {"sweep": "tab3", "batch_points": 5, "scalar_ms": 500.0},
+    }, overrides)
+
+
+def _des_record(**overrides):
+    return _make("des", "des", {
+        "counters": {"des_events": 60_000, "commits": 110},
+        "wall_ms": {"run": 300.0},
+        "detail": {"events_per_s": 200_000.0, "sweep": "tab3", "n": 8,
+                   "seed": 7},
     }, overrides)
 
 
@@ -313,6 +323,33 @@ class TestOuterBench:
         assert _gate(current, base, time_tolerance=0.01) == []
 
 
+class TestDesBench:
+    def test_run_des_bench_populated(self):
+        record = run_des_bench(n=2, repeats=1)
+        assert (record.layer, record.name) == ("des", "des")
+        assert (record.detail["sweep"], record.detail["n"]) == ("tab3", 2)
+        assert record.counters["des_events"] > 0
+        assert record.counters["commits"] > 0
+        assert record.detail["events_per_s"] == pytest.approx(
+            record.counters["des_events"] / (record.wall_ms["run"] / 1e3))
+
+    def test_counters_are_exact(self):
+        """A seeded simulation processes the same events every run,
+        so the strict counter gate cannot trip on noise."""
+        first = run_des_bench(n=2, repeats=1)
+        assert run_des_bench(n=2, repeats=1).counters == first.counters
+
+    def test_compare_flags_extra_events(self):
+        problems = _gate(_des_record(counters={"des_events": 90_000}),
+                         _des_record())
+        assert problems == ["des: counters.des_events regressed 90000 "
+                            "vs baseline 60000 (+50%)"]
+
+    def test_noise_floor_absorbs_small_blip(self):
+        current = _des_record(wall_ms={"run": 390.0})
+        assert _gate(current, _des_record(), time_tolerance=0.01) == []
+
+
 class TestMain:
     @pytest.fixture
     def canned_suite(self, monkeypatch):
@@ -322,6 +359,8 @@ class TestMain:
                             lambda *a, **kw: _kernel_record())
         monkeypatch.setattr(perf_mod, "run_outer_bench",
                             lambda *a, **kw: _outer_record())
+        monkeypatch.setattr(perf_mod, "run_des_bench",
+                            lambda *a, **kw: _des_record())
 
     @pytest.fixture
     def check_with(self, tmp_path, monkeypatch, capsys, canned_suite):
@@ -346,7 +385,7 @@ class TestMain:
                               "--baseline-dir", baseline_dir]) == 0
         assert perf_mod.main(["--check",
                               "--baseline-dir", baseline_dir]) == 0
-        assert "perf gate passed (3 baselines" in capsys.readouterr().out
+        assert "perf gate passed (4 baselines" in capsys.readouterr().out
 
     def test_check_without_baseline_fails(self, tmp_path, canned_suite):
         assert perf_mod.main(["--check", "--baseline-dir",
@@ -358,6 +397,7 @@ class TestMain:
         assert (out / "BENCH_fig5.json").is_file()
         assert (out / "BENCH_kernels.json").is_file()
         assert (out / "BENCH_outer.json").is_file()
+        assert (out / "BENCH_des.json").is_file()
 
     def test_counter_regression_fails_check(self, check_with):
         code, out = check_with(
@@ -377,11 +417,18 @@ class TestMain:
         assert code == 1
         assert "REGRESSION outer: speedup.batch" in out
 
+    def test_des_regression_fails_check(self, check_with):
+        code, out = check_with("run_des_bench",
+                               _des_record(counters={"commits": 200}))
+        assert code == 1
+        assert "REGRESSION des: counters.commits" in out
+
     def test_committed_baseline_matches_schema(self):
         """The baseline shipped in-repo loads under the current schema
         and covers every benchmark a run produces."""
         baseline = load_records(BASELINES)
-        assert set(baseline) == {*perf_mod.SUITE, "kernels", "outer"}
+        assert set(baseline) == {*perf_mod.SUITE, "kernels", "outer",
+                                 "des"}
         for name in perf_mod.SUITE:
             assert baseline[name].counters["model_iterations"] > 0
 
@@ -394,3 +441,10 @@ class TestMain:
         """The committed outer baseline documents the >=3x
         batched-sweep speedup of the tensorized outer loop."""
         assert load_records(BASELINES)["outer"].speedup["batch"] >= 3.0
+
+    def test_committed_des_baseline_loads(self):
+        """The committed DES baseline pins the seeded run's exact
+        event and commit counts."""
+        des = load_records(BASELINES)["des"]
+        assert des.counters == {"des_events": 63247, "commits": 113}
+        assert des.wall_ms["run"] > 0.0

@@ -55,6 +55,35 @@ class TestTimeouts:
         sim.run(until=6.0)
         assert log[-1] == 6.0
 
+    def test_horizon_before_now_rejected(self):
+        """A second run may not rewind the clock."""
+        sim = Simulator()
+        log = []
+
+        def proc():
+            for _ in range(20):
+                yield Timeout(1.0)
+                log.append(sim.now)
+
+        sim.spawn(proc())
+        sim.run(until=10.0)
+        with pytest.raises(SimulationError, match="earlier than now"):
+            sim.run(until=5.0)
+        assert sim.now == 10.0
+        sim.run(until=12.0)
+        assert log[-2:] == [11.0, 12.0]
+
+    def test_horizon_equal_to_now_is_a_no_op(self):
+        sim = Simulator()
+
+        def proc():
+            yield Timeout(1.0)
+
+        sim.spawn(proc())
+        sim.run(until=0.0)
+        assert sim.now == 0.0
+        assert sim._steps == 1
+
     def test_max_steps_budget(self):
         sim = Simulator()
 
@@ -164,6 +193,68 @@ class TestForkAndCompletion:
         sim.spawn(proc())
         with pytest.raises(SimulationError):
             sim.run()
+
+    def test_invalid_yield_names_process_and_object(self):
+        sim = Simulator()
+
+        def proc():
+            yield Timeout(1.0)
+            yield 42
+
+        sim.spawn(proc(), name="clerk")
+        with pytest.raises(SimulationError,
+                           match=r"'clerk' yielded 42; expected Timeout, "
+                                 r"Wait, or Fork"):
+            sim.run()
+
+    def test_invalid_yield_after_fork_raises(self):
+        sim = Simulator()
+
+        def child():
+            yield Timeout(1.0)
+
+        def proc():
+            yield Fork(child())
+            yield object()
+
+        sim.spawn(proc(), name="parent")
+        with pytest.raises(SimulationError, match="'parent' yielded"):
+            sim.run()
+
+    def test_command_subclasses_still_dispatch(self):
+        """Exact-type dispatch is a fast path; subclasses of the
+        commands take the isinstance fallback."""
+        class Delay(Timeout):
+            __slots__ = ()
+
+        class Await(Wait):
+            __slots__ = ()
+
+        sim = Simulator()
+        event = sim.event()
+        log = []
+
+        def proc():
+            yield Delay(2.0)
+            log.append(sim.now)
+            payload = yield Await(event)
+            log.append(payload)
+
+        def firer():
+            yield Timeout(3.0)
+            event.fire("go")
+
+        sim.spawn(proc())
+        sim.spawn(firer())
+        sim.run()
+        assert log == [2.0, "go"]
+
+    def test_commands_have_readable_reprs(self):
+        sim = Simulator()
+        event = sim.event()
+        assert repr(Timeout(2.5)) == "Timeout(2.5)"
+        assert repr(Wait(event)).startswith("Wait(<")
+        assert repr(Fork(None)) == "Fork(None)"
 
     def test_determinism_under_replay(self):
         """Two identical simulations produce identical traces."""

@@ -97,6 +97,28 @@ class TestFcfsResource:
         with pytest.raises(SimulationError):
             list(res.use(-1.0))
 
+    def test_simultaneous_requests_on_idle_server(self):
+        """Two requests at the same instant: the first takes the idle
+        server, the second queues; FIFO service, and every step is
+        accounted for."""
+        sim = Simulator()
+        res = FcfsResource(sim, "cpu")
+        log = []
+
+        def proc(name):
+            yield from res.use(10.0)
+            log.append((name, sim.now))
+
+        sim.spawn(proc("a"))
+        sim.spawn(proc("b"))
+        sim.run()
+        assert log == [("a", 10.0), ("b", 20.0)]
+        # a: start (takes the server), zero-delay grant step, end of
+        # service; b: start (queues), hand-over wake-up, end of service.
+        assert sim._steps == 6
+        assert res.completions == 2
+        assert res.busy_time == 20.0
+
 
 class TestCountingPool:
     def test_blocks_when_exhausted(self):
