@@ -24,22 +24,14 @@ from repro.errors import ConfigurationError
 from repro.model.parameters import SiteParameters, paper_sites
 from repro.model.results import ChainResult, ModelSolution
 from repro.model.solver import solve_model
-from repro.model.types import BaseType, ChainType
+from repro.model.types import BASE_TO_USER_CHAIN, BaseType
 from repro.model.workload import STANDARD_WORKLOADS, WorkloadSpec
 from repro.testbed.metrics import SimulationMeasurement, SiteMeasurement
 from repro.testbed.system import CaratSimulation, SimulationConfig
 from repro.testbed.telemetry import Telemetry
 
 __all__ = ["compare_workload", "compare_spec", "render_table",
-           "flagged_rows", "BASE_TO_USER_CHAIN"]
-
-#: Simulator base type -> the model's user chain at the home site.
-BASE_TO_USER_CHAIN = {
-    BaseType.LRO: ChainType.LRO,
-    BaseType.LU: ChainType.LU,
-    BaseType.DRO: ChainType.DROC,
-    BaseType.DU: ChainType.DUC,
-}
+           "flagged_rows"]
 
 #: Measured-value floors below which a relative residual is noise.
 _FLOORS = {"_ms": 1.0, "_utilization": 0.02, "_per_s": 0.01}

@@ -331,11 +331,9 @@ def run_outer_bench(sweep: str = OUTER_SWEEP, repeats: int = 3) -> BenchRecord:
     )
 
 
-def run_des_bench(
-    sweep: str = DES_SWEEP, n: int = DES_N, repeats: int = 2
-) -> BenchRecord:
+def run_des_bench(n: int = DES_N, repeats: int = 2) -> BenchRecord:
     """Time the simulator's event loop on one seeded simulation of
-    *sweep*'s workload at population *n* in the ``--quick`` window.
+    ``DES_SWEEP``'s workload at population *n* in the ``--quick`` window.
 
     The run is deterministic, so the processed DES events and the
     commits are exact counters; ``wall_ms["run"]`` is the best of
@@ -347,7 +345,7 @@ def run_des_bench(
 
     warmup_ms, duration_ms = DES_WINDOW_MS
     config = SimulationConfig(
-        workload=experiment(sweep).workload_factory(n),
+        workload=experiment(DES_SWEEP).workload_factory(n),
         sites=paper_sites(),
         seed=DES_SEED,
         warmup_ms=warmup_ms,
@@ -367,7 +365,7 @@ def run_des_bench(
         wall_ms={"run": best},
         detail={
             "events_per_s": events / (best / 1e3),
-            "sweep": sweep,
+            "sweep": DES_SWEEP,
             "n": n,
             "seed": DES_SEED,
         },

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["BaseType", "ChainType", "Phase",
+__all__ = ["BaseType", "ChainType", "Phase", "BASE_TO_USER_CHAIN",
            "CPU_PHASES", "DISK_PHASES", "DELAY_PHASES"]
 
 
@@ -107,6 +107,15 @@ _CHAIN_TO_BASE = {
     ChainType.DROS: BaseType.DRO,
     ChainType.DUC: BaseType.DU,
     ChainType.DUS: BaseType.DU,
+}
+
+#: Base type -> the user chain at its home site (the coordinator chain
+#: for distributed types).
+BASE_TO_USER_CHAIN = {
+    BaseType.LRO: ChainType.LRO,
+    BaseType.LU: ChainType.LU,
+    BaseType.DRO: ChainType.DROC,
+    BaseType.DU: ChainType.DUC,
 }
 
 #: Update chains (exclusive-lock holders), paper Eq. 15's set

@@ -202,16 +202,13 @@ class Simulator:
         try:
             command = generator.send(payload)
             while True:
-                # Exact-type checks first: they are the hot path, and
-                # isinstance keeps subclasses of the commands working.
-                kind = type(command)
-                if kind is Timeout or isinstance(command, Timeout):
+                if isinstance(command, Timeout):
                     # delay >= 0 was checked when the Timeout was made.
                     self._seq += 1
                     heappush(self._heap, (self.now + command.delay,
                                           self._seq, process, None))
                     return
-                if kind is Wait or isinstance(command, Wait):
+                if isinstance(command, Wait):
                     command.event.add_waiter(process)
                     return
                 if not isinstance(command, Fork):

@@ -22,7 +22,7 @@ import zlib
 from collections.abc import Generator
 from typing import TYPE_CHECKING
 
-from repro.model.types import BaseType, ChainType, Phase
+from repro.model.types import BASE_TO_USER_CHAIN, BaseType, Phase
 from repro.testbed.des import Fork, Timeout, Wait
 from repro.testbed.locks import LockRequestOutcome
 from repro.testbed.node import CaratNode
@@ -39,12 +39,6 @@ __all__ = ["UserProcess"]
 #: Outcome markers passed through lock-wait events.
 GRANTED = "granted"
 ABORTED = "aborted"
-
-#: Chain type whose row of the basic cost table a base type uses.
-_HOME_CHAIN = {
-    BaseType.LRO: ChainType.LRO, BaseType.LU: ChainType.LU,
-    BaseType.DRO: ChainType.DROC, BaseType.DU: ChainType.DUC,
-}
 
 
 class UserProcess:
@@ -64,8 +58,8 @@ class UserProcess:
         self._seq = 0
         #: cost-table chain and its basic cost row per site name,
         #: resolved once
-        self._chain = _HOME_CHAIN[base]
-        self._costs = {name: node.params.costs_for(self._chain)
+        self._chain = BASE_TO_USER_CHAIN[base]
+        self._costs = {name: node.params.costs[base]
                        for name, node in system.nodes.items()}
 
     # ------------------------------------------------------------------

@@ -34,10 +34,11 @@ class Metrics:
         self.deadlocks_local: dict[str, int] = defaultdict(int)
         self.deadlocks_global: dict[str, int] = defaultdict(int)
         self.lock_waits: dict[str, int] = defaultdict(int)
-        #: generic per-event counters keyed by (site, base-type value,
-        #: event name): plain string keys, so counting an event hashes
-        #: no Enum (read them through :attr:`events`)
-        self._events: dict[tuple[str, str, str], int] = defaultdict(int)
+        #: generic per-(site, base, event-name) counters, used to
+        #: validate the model's visit counts against the simulator
+        #: (e.g. "tm_msg", "lock_request", "granule_access")
+        self.events: dict[tuple[str, BaseType, str], int] = \
+            defaultdict(int)
         self.collecting = False
 
     def start_window(self, now: float) -> None:
@@ -52,7 +53,7 @@ class Metrics:
         self.deadlocks_local.clear()
         self.deadlocks_global.clear()
         self.lock_waits.clear()
-        self._events.clear()
+        self.events.clear()
         self.collecting = True
 
     # -- event hooks ---------------------------------------------------------
@@ -86,19 +87,11 @@ class Metrics:
         if self.collecting:
             self.lock_waits[site] += 1
 
-    @property
-    def events(self) -> dict[tuple[str, BaseType, str], int]:
-        """Generic per-(site, base, event-name) counters, used to
-        validate the model's visit counts against the simulator
-        (e.g. "tm_msg", "lock_request", "granule_access")."""
-        return {(site, BaseType(base), name): count
-                for (site, base, name), count in self._events.items()}
-
     def event(self, site: str, base: BaseType, name: str,
               count: int = 1) -> None:
         """Bump a generic visit counter (visit-count validation)."""
         if self.collecting:
-            self._events[(site, base._value_, name)] += count
+            self.events[(site, base, name)] += count
 
     def events_per_commit(self, site: str, base: BaseType,
                           name: str) -> float:
@@ -107,7 +100,7 @@ class Metrics:
         commits = self.commits.get((site, base), 0)
         if commits == 0:
             return 0.0
-        return self._events.get((site, base._value_, name), 0) / commits
+        return self.events.get((site, base, name), 0) / commits
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.compare import (BASE_TO_USER_CHAIN,
-                                       compare_workload, flagged_rows,
+from repro.experiments.compare import (compare_workload, flagged_rows,
                                        render_json, render_table)
+from repro.model.types import BASE_TO_USER_CHAIN
 
 
 @pytest.fixture(scope="module")
