@@ -36,6 +36,11 @@ HOT_PATHS: dict[str, frozenset[str]] = {
     }),
     "repro.model.outer": frozenset({
         "_seq_sum_last",
+        "PhaseCostTable.demands",
+        "phase_visits",
+        "locks_held",
+        "conflict_rates",
+        "abort_state",
         "_BatchEngine._rebuild",
         "_BatchEngine._solve_mva",
         "_BatchEngine._absorb",

@@ -1,7 +1,7 @@
 """Perf-baseline suite: one ``BENCH_*.json`` record per benchmark and
 the CI regression gate.
 
-Four runners time one layer each, and all return the same
+Five runners time one layer each, and all return the same
 :class:`BenchRecord`:
 
 * ``sweep`` (:func:`run_suite`) — one model-only traced experiment
@@ -12,7 +12,9 @@ Four runners time one layer each, and all return the same
 * ``outer`` (:func:`run_outer_bench`) — the outer fixed point: a sweep
   solved point by point through the scalar oracle vs. one batched call;
 * ``des`` (:func:`run_des_bench`) — the simulator's event loop: one
-  seeded ``--quick`` simulation of a Table 3 point.
+  seeded ``--quick`` simulation of a Table 3 point;
+* ``open`` (:func:`run_open_bench`) — the batched open model: one
+  arrival-rate SLO search of the capacity planner.
 
 :func:`write_records` emits one ``BENCH_<name>.json`` per record; the
 first set is committed under ``benchmarks/baselines/`` and CI compares
@@ -52,6 +54,7 @@ __all__ = [
     "run_kernel_bench",
     "run_outer_bench",
     "run_des_bench",
+    "run_open_bench",
     "write_records",
     "load_records",
     "compare_records",
@@ -82,6 +85,12 @@ DES_N = 8
 DES_SEED = 7
 DES_WINDOW_MS = (12_000.0, 120_000.0)
 
+#: The open benchmark's query: the slowest capacity-planning SLO of the
+#: ``plan-slo`` end-to-end workload (MB4 at n=8, 13.9 s mean response).
+OPEN_MIX = "MB4"
+OPEN_N = 8
+OPEN_TARGET_MS = 13_900.0
+
 #: Allowed relative regression of the counters and speedups, and the
 #: default time tolerance.
 TOLERANCE = 0.25
@@ -94,6 +103,7 @@ NOISE_FLOOR_MS = {
     "outer": 100.0,
     "kernel": 0.1,
     "des": 100.0,
+    "open": 100.0,
     "pytest": 100.0,
 }
 
@@ -372,6 +382,46 @@ def run_des_bench(n: int = DES_N, repeats: int = 2) -> BenchRecord:
     )
 
 
+def run_open_bench(repeats: int = 2) -> BenchRecord:
+    """Time one :func:`~repro.planner.search.slo_max_arrival_per_s`
+    query (``OPEN_MIX`` at ``OPEN_N``, ``OPEN_TARGET_MS`` target).
+
+    The search is deterministic, so its batched open-solver calls and
+    summed per-rate iterations (the ``model.open_*`` obs counters) are
+    exact counters; ``wall_ms["run"]`` is the best of *repeats* runs.
+    """
+    from repro.model.parameters import paper_sites
+    from repro.model.workload import STANDARD_WORKLOADS
+    from repro.obs import metrics as obs
+    from repro.planner.search import slo_max_arrival_per_s
+
+    workload = STANDARD_WORKLOADS[OPEN_MIX](OPEN_N)
+    sites = paper_sites()
+    best = float("inf")
+    for _ in range(max(1, repeats)):
+        with obs.recording() as registry:
+            t0 = time.perf_counter()
+            capacity = slo_max_arrival_per_s(workload, sites, OPEN_TARGET_MS)
+            best = min(best, (time.perf_counter() - t0) * 1e3)
+    counts = registry.counters
+    return BenchRecord(
+        layer="open",
+        name="open",
+        counters={
+            "open_calls": int(counts["model.open_calls"]),
+            "open_iterations": int(counts["model.open_iterations"]),
+        },
+        wall_ms={"run": best},
+        detail={
+            "mix": OPEN_MIX,
+            "n": OPEN_N,
+            "target_ms": OPEN_TARGET_MS,
+            "open_points": int(counts["model.open_points"]),
+            "max_arrival_per_s": capacity,
+        },
+    )
+
+
 def write_records(
     records: Iterable[BenchRecord], directory: str | os.PathLike
 ) -> list[Path]:
@@ -498,7 +548,13 @@ def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
 def run(args: argparse.Namespace) -> int:
     """Run every benchmark, then write and/or gate the records as
     *args* (from :func:`add_arguments`) ask."""
-    records = [*run_suite(), run_kernel_bench(), run_outer_bench(), run_des_bench()]
+    records = [
+        *run_suite(),
+        run_kernel_bench(),
+        run_outer_bench(),
+        run_des_bench(),
+        run_open_bench(),
+    ]
     for record in records:
         print(_summary(record))
     if args.output_dir:

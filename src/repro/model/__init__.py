@@ -14,8 +14,9 @@ from repro.model.locking import (LockModelState, average_locks_held,
                                  deadlock_victim_probability,
                                  lock_wait_probability, lock_wait_time,
                                  locks_at_abort)
-from repro.model.open_solver import (OpenChainResult, OpenSolution,
-                                     OpenWorkload, solve_open_model)
+from repro.model.open_solver import (OpenBatch, OpenChainResult,
+                                     OpenSolution, OpenWorkload,
+                                     solve_open_batch, solve_open_model)
 from repro.model.parameters import (BasicPhaseCosts, ProtocolCosts,
                                     SiteParameters, paper_sites,
                                     paper_table2)
@@ -45,6 +46,6 @@ __all__ = [
     "ChainResult", "SiteResult", "ModelSolution",
     "CaratModel", "ModelConfig", "solve_model",
     "CalibrationTarget", "CalibrationResult", "calibrate_protocol",
-    "OpenWorkload", "OpenChainResult", "OpenSolution",
-    "solve_open_model",
+    "OpenWorkload", "OpenChainResult", "OpenSolution", "OpenBatch",
+    "solve_open_batch", "solve_open_model",
 ]

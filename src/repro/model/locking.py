@@ -9,7 +9,9 @@ Implements:
 * the blocking probability ``Pb`` (Eq. 15) and the lock-wait
   probability ``P_lw`` (Eq. 16), with share/exclusive compatibility:
   read-only chains hold shared locks (block only exclusive requests),
-  update chains hold exclusive locks (block everyone);
+  update chains hold exclusive locks (block everyone); skewed access
+  shrinks the granule count ``Pb`` divides by
+  (:func:`effective_granules`);
 * the blocker-type distribution ``PB`` (Eq. 17), restricted to
   compatible holder types;
 * the two-cycle deadlock-victim probability ``Pd`` (§5.4.3 — the
@@ -24,12 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.model.parameters import SiteParameters
 from repro.model.types import ChainType, UPDATE_CHAINS
+from repro.model.workload import WorkloadSpec
 
 __all__ = ["locks_at_abort", "average_locks_held", "blocking_probability",
            "lock_wait_probability", "blocker_distribution",
            "deadlock_victim_probability", "blocking_ratio",
-           "lock_wait_time", "LockModelState"]
+           "lock_wait_time", "effective_granules", "LockModelState"]
 
 
 def locks_at_abort(locks: float, per_lock_abort: float) -> float:
@@ -129,6 +133,19 @@ def _holder_mass(
             total -= locks_held.get(holder, 0.0)
         mass[holder] = max(0.0, total)
     return mass
+
+
+def effective_granules(workload: WorkloadSpec,
+                       site: SiteParameters) -> float:
+    """Granule count ``Pb`` divides by (Eq. 15).
+
+    Skewed access (hot spot or Zipf) behaves like a uniformly accessed
+    database shrunk by the workload's collision multiplier, which for
+    Zipf depends on the site's granule count.  Uniform workloads have
+    a multiplier of exactly 1.0, so they keep the raw count.
+    """
+    collision = workload.collision_multiplier(site.granules)
+    return float(max(1, int(round(site.granules / collision))))
 
 
 def blocking_probability(

@@ -10,30 +10,48 @@ same site model with open multi-class product-form equations:
 * residence at a queueing center: ``R_ct = D_ct / (1 - rho_c)``
 * residence at a delay center: ``R_ct = D_ct``
 
-and closes the same lock/remote-wait fixed point, with the mean number
-of concurrent transactions per chain given by Little's law
-(``N_t = lam_t * R_t``) instead of a fixed population.
+and closes the same lock fixed point (§5.4), with the mean number of
+concurrent transactions per chain given by Little's law
+(``N_t = lam_t * R_t``) instead of a fixed population.  Remote and
+commit waits (RW, CW) are not modelled here.
+
+:func:`solve_open_batch` solves one workload at ``K`` arrival scales
+as one ``(K, M)`` array program over the flattened ``(site, chain)``
+states.  It shares the closed engine's array steps
+(:mod:`repro.model.outer`): the stacked visit solve, the demand
+assembly, ``L_h`` (Eq. 14), the holder-mass ``Pb``/``Pd``/``R_LW``
+block (Eqs. 15-20) and ``E[Y]`` (Eq. 11).  Each row converges on its
+own and keeps the typed outcome a single solve would raise: saturated
+(a utilization reached 1), infeasible (``P_a`` or ``sigma`` left its
+range) or not converged within the iteration budget.
+:func:`solve_open_model` is the one-row call.
 
 The closed solver remains the faithful reproduction; this one answers
 "at what arrival rate does the paper's system saturate?"
-(see ``examples/capacity_planning.py`` and the tests).
+(:func:`repro.planner.search.slo_max_arrival_per_s`,
+``examples/open_model_capacity.py``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.model import demands as demands_mod
 from repro.model import locking
 from repro.model.parameters import SiteParameters
-from repro.model.phases import ConflictProbabilities, transition_matrix, \
-    visit_counts
-from repro.model.types import BaseType, ChainType
+from repro.model.phases import NO_CONFLICT, transition_matrix
+from repro.model.types import PHASE_ORDER, BaseType, ChainType, Phase
 from repro.model.workload import WorkloadSpec
+from repro.obs import metrics as obs
 
-__all__ = ["OpenWorkload", "OpenChainResult", "OpenSolution",
-           "solve_open_model"]
+__all__ = ["OpenWorkload", "OpenChainResult", "OpenSolution", "OpenBatch",
+           "solve_open_batch", "solve_open_model"]
+
+_ILW = PHASE_ORDER.index(Phase.LW)
 
 
 @dataclass(frozen=True)
@@ -108,6 +126,261 @@ class OpenSolution:
         return max(values) if values else 0.0
 
 
+@dataclass(frozen=True, eq=False)
+class OpenBatch:
+    """Row-wise solutions of one open workload at ``K`` arrival scales.
+
+    Arrays are indexed by row (the position in the solve's ``scales``)
+    and, for the per-chain ones, by the ``(site, chain)`` states in
+    ``keys``.  A row's entry in ``errors`` is the typed exception a
+    single solve at that scale raises, or ``None`` when it converged;
+    the arrays of a row with an error hold its last iterate and carry
+    no meaning.
+    """
+
+    keys: tuple[tuple[str, ChainType], ...]
+    sites: tuple[str, ...]              #: sites that carry traffic
+    arrival_per_s: np.ndarray           #: (K, M)
+    response_ms: np.ndarray             #: (K, M)
+    concurrency: np.ndarray             #: (K, M), Little's law
+    blocking: np.ndarray                #: (K, M), Pb per lock request
+    abort_probability: np.ndarray       #: (K, M)
+    n_submissions: np.ndarray           #: (K, M)
+    cpu_utilization: np.ndarray         #: (K, S)
+    disk_utilization: np.ndarray        #: (K, S)
+    mean_response_ms: np.ndarray        #: (K,), arrival-weighted
+    iterations: np.ndarray              #: (K,)
+    errors: tuple[Exception | None, ...]
+
+    @property
+    def converged(self) -> np.ndarray:
+        """``(K,)`` mask of rows with a steady-state solution."""
+        return np.array([error is None for error in self.errors],
+                        dtype=bool)
+
+    def solution(self, row: int) -> OpenSolution:
+        """Row *row* as an :class:`OpenSolution`; raises the row's
+        typed error when it has no steady state."""
+        error = self.errors[row]
+        if error is not None:
+            raise error
+        results: dict[str, dict[ChainType, OpenChainResult]] = {}
+        for m, (site_name, chain) in enumerate(self.keys):
+            rate = float(self.arrival_per_s[row, m])
+            response = float(self.response_ms[row, m])
+            results.setdefault(site_name, {})[chain] = OpenChainResult(
+                chain=chain,
+                arrival_rate_per_s=rate,
+                response_ms=response,
+                concurrency=float(self.concurrency[row, m]),
+                abort_probability=float(self.abort_probability[row, m]),
+                n_submissions=float(self.n_submissions[row, m]),
+            )
+        return OpenSolution(
+            sites=results,
+            cpu_utilization={
+                name: float(self.cpu_utilization[row, s])
+                for s, name in enumerate(self.sites)},
+            disk_utilization={
+                name: float(self.disk_utilization[row, s])
+                for s, name in enumerate(self.sites)},
+            iterations=int(self.iterations[row]),
+        )
+
+
+def solve_open_batch(
+    workload: OpenWorkload,
+    sites: dict[str, SiteParameters],
+    scales: Sequence[float],
+    tolerance: float = 1e-6,
+    max_iterations: int = 300,
+    damping: float = 0.5,
+) -> OpenBatch:
+    """Solve *workload* with every arrival rate multiplied by each of
+    *scales*, one row per scale.
+
+    Raises
+    ------
+    ConfigurationError
+        If the workload carries no traffic, a scale is not positive, or
+        a phase chain yields a negative visit count.  Per-row outcomes
+        (saturation, an invalid abort probability, non-convergence) do
+        not raise; they land in :attr:`OpenBatch.errors`.
+    """
+    # Imported here, as every caller of the closed engine does, so that
+    # importing the model package does not load the engine module.
+    from repro.model.outer import (PhaseCostTable, _seq_sum_last,
+                                   abort_state, conflict_rates,
+                                   locks_held, phase_visits)
+
+    scale = np.asarray(scales, dtype=float).reshape(-1)
+    if scale.size == 0 or not np.all(np.isfinite(scale) & (scale > 0.0)):
+        raise ConfigurationError(
+            f"arrival scales must be positive and finite, got {scales}")
+    if max_iterations < 1:
+        raise ConfigurationError(
+            f"max_iterations must be >= 1, got {max_iterations}")
+    template = workload.template
+    keys: list[tuple[str, ChainType]] = []
+    base_rate: list[float] = []
+    for site_name in template.sites:
+        for chain, rate in workload.chain_rates(site_name).items():
+            if rate > 0.0:
+                keys.append((site_name, chain))
+                base_rate.append(rate)
+    if not keys:
+        raise ConfigurationError("open workload has no traffic")
+    site_names = tuple(dict.fromkeys(name for name, _ in keys))
+    K, M, S = scale.size, len(keys), len(site_names)
+
+    # Static per-state structure, shared by every row: (1, M) arrays.
+    site_of = np.array([site_names.index(name) for name, _ in keys])
+    chains = [chain for _, chain in keys]
+    is_update = np.array([c.is_update for c in chains])
+    same_site = site_of[:, None] == site_of[None, :]
+    can_block = same_site & (is_update[None, :] | is_update[:, None])
+    at_site = site_of[None, :] == np.arange(S)[:, None]        # (S, M)
+    locks = np.zeros((1, M))
+    gran = np.zeros((1, M))
+    p0 = np.zeros((1, M, len(PHASE_ORDER), len(PHASE_ORDER)))
+    costs = PhaseCostTable((1, M))
+    for m, (site_name, chain) in enumerate(keys):
+        site = sites[site_name]
+        q = demands_mod.ios_per_request(site, template, chain)
+        locks[0, m] = demands_mod.lock_count(template, chain, q)
+        gran[0, m] = locking.effective_granules(template, site)
+        p0[0, m] = transition_matrix(
+            chain, template.local_requests(chain),
+            template.remote_requests(chain), q, NO_CONFLICT)
+        costs.fill((0, m), site, template, chain)
+    br = (2.0 * locks + 1.0) / (6.0 * locks)
+    rate_ms = np.array(base_rate)[None, :] * scale[:, None] / 1e3
+
+    # Iterates, one row per scale.
+    pb, pd, pa = np.zeros((K, M)), np.zeros((K, M)), np.zeros((K, M))
+    ns = np.ones((K, M))
+    sigma = np.full((K, M), 0.5)
+    ey = np.broadcast_to(abort_state(locks, np.zeros((1, M)))[0],
+                         (K, M)).copy()
+    lh, r_lw, response = np.zeros((K, M)), np.zeros((K, M)), np.zeros((K, M))
+    rho_cpu, rho_disk = np.zeros((K, S)), np.zeros((K, S))
+    iterations = np.zeros(K, dtype=np.int64)
+    errors: list[Exception | None] = [None] * K
+    omd = 1.0 - damping
+
+    alive = np.ones(K, dtype=bool)
+    iteration = 0
+    # caratlint: disable=CL002 -- damped fixed-point iteration; every
+    # step inside is an array operation over the alive rows
+    while alive.any():
+        iteration += 1
+        al = np.nonzero(alive)[0]
+        rate = rate_ms[al]
+        v = phase_visits(p0, np.zeros(len(al), dtype=np.intp), pb[al],
+                         pd[al])
+        cpu_ms, db_ms, lg_ms, _dbio, _lgio, _ta = costs.demands(
+            v, ns[al], ey[al], slice(None))
+        disk_ms = db_ms + lg_ms
+        lw_visits = ns[al] * v[:, :, _ILW]
+
+        # Open-network utilizations and responses per site.
+        u_cpu = _seq_sum_last(
+            np.where(at_site[None], (rate * cpu_ms)[:, None], 0.0))
+        u_disk = _seq_sum_last(
+            np.where(at_site[None], (rate * disk_ms)[:, None], 0.0))
+        rho_cpu[al] = u_cpu
+        rho_disk[al] = u_disk
+        over = (u_cpu >= 1.0) | (u_disk >= 1.0)
+        saturated = over.any(axis=1)
+        # Saturated rows finish this iteration; a zero utilization
+        # keeps their throw-away iterates finite.
+        act = (cpu_ms / (1.0 - np.where(over, 0.0, u_cpu)[:, site_of])
+               + disk_ms / (1.0 - np.where(over, 0.0, u_disk)[:, site_of]))
+        lw = lw_visits * r_lw[al]
+        resp = act + lw
+        prev = response[al]
+        change = np.where(prev > 0.0,
+                          np.abs(resp - prev) / np.where(prev > 0.0, prev, 1.0),
+                          1.0)
+        residual = change.max(axis=1)
+        blocked = np.where(resp > 0.0, lw / np.where(resp > 0.0, resp, 1.0),
+                           0.0)
+
+        # Lock model (Little's-law concurrency).
+        pa_old, sig_old = pa[al], sigma[al]
+        invalid = (resp > 0.0) & ~((pa_old >= 0.0) & (pa_old < 1.0)
+                                   & (sig_old >= 0.0) & (sig_old <= 1.0))
+        lh_a = omd * lh[al] + damping * locks_held(
+            locks, pa_old, sig_old, resp, 0.0)
+        new_pb, new_pd, new_rlw = conflict_rates(
+            rate * resp, lh_a, gran, blocked, act, locks, br, can_block)
+        pb_a = omd * pb[al] + damping * new_pb
+        pd_a = omd * pd[al] + damping * new_pd
+        per_lock = pb_a * pd_a
+        invalid |= (per_lock < 0.0) | (per_lock > 1.0)
+        pa_a = omd * pa_old + damping * (1.0 - (1.0 - per_lock) ** locks)
+        ey_a, sigma_a = abort_state(locks, per_lock)
+
+        response[al], lh[al] = resp, lh_a
+        pb[al], pd[al], pa[al] = pb_a, pd_a, pa_a
+        r_lw[al] = omd * r_lw[al] + damping * new_rlw
+        ns[al] = 1.0 / (1.0 - np.minimum(pa_a, 0.999))
+        ey[al], sigma[al] = ey_a, sigma_a
+
+        bad = saturated | invalid.any(axis=1)
+        done = bad | (residual < tolerance) | (iteration >= max_iterations)
+        # caratlint: disable=CL002 -- typed outcome of finished rows only
+        for i in np.nonzero(done)[0]:
+            k = int(al[i])
+            iterations[k] = iteration
+            errors[k] = _row_error(
+                keys, site_names, i, saturated, u_cpu, u_disk, invalid,
+                pa_old, sig_old, per_lock, residual, iteration, tolerance)
+        alive[al[done]] = False
+
+    arrival_per_s = rate_ms * 1e3
+    mean_response = (_seq_sum_last(arrival_per_s * response)
+                     / _seq_sum_last(arrival_per_s))
+    obs.add("model.open_calls")
+    obs.add("model.open_points", float(K))
+    obs.add("model.open_iterations", float(iterations.sum()))
+    return OpenBatch(
+        keys=tuple(keys), sites=site_names,
+        arrival_per_s=arrival_per_s, response_ms=response,
+        concurrency=rate_ms * response, blocking=pb,
+        abort_probability=pa, n_submissions=ns,
+        cpu_utilization=rho_cpu, disk_utilization=rho_disk,
+        mean_response_ms=mean_response, iterations=iterations,
+        errors=tuple(errors))
+
+
+def _row_error(keys, site_names, i, saturated, u_cpu, u_disk, invalid,
+               pa, sigma, per_lock, residual, iteration,
+               tolerance) -> Exception | None:
+    """The typed error a single solve of finished row *i* raises, in
+    the scalar loop's order of checks (``None`` when it converged)."""
+    if saturated[i]:
+        s = int(np.argmax((u_cpu[i] >= 1.0) | (u_disk[i] >= 1.0)))
+        return ConfigurationError(
+            f"site {site_names[s]} saturated (cpu {u_cpu[i, s]:.2f}, "
+            f"disk {u_disk[i, s]:.2f}); reduce arrival rates")
+    if invalid[i].any():
+        m = int(np.argmax(invalid[i]))
+        site_name, chain = keys[m]
+        if not 0.0 <= pa[i, m] < 1.0:
+            detail = f"abort probability {pa[i, m]} invalid"
+        elif not 0.0 <= sigma[i, m] <= 1.0:
+            detail = f"sigma {sigma[i, m]} invalid"
+        else:
+            detail = f"Pb*Pd={per_lock[i, m]} is not a probability"
+        return ConfigurationError(f"{detail} ({chain.value} at {site_name})")
+    if residual[i] < tolerance:
+        return None
+    return ConvergenceError("open model did not converge",
+                            iterations=iteration,
+                            residual=float(residual[i]))
+
+
 def solve_open_model(
     workload: OpenWorkload,
     sites: dict[str, SiteParameters],
@@ -115,148 +388,16 @@ def solve_open_model(
     max_iterations: int = 300,
     damping: float = 0.5,
 ) -> OpenSolution:
-    """Solve the open model by fixed-point iteration.
+    """Solve the open model at the workload's own arrival rates.
 
     Raises
     ------
     ConfigurationError
-        If the offered load saturates a CPU or disk (no steady state).
+        If the offered load saturates a CPU or disk (no steady state),
+        or the lock model leaves its valid range.
     ConvergenceError
         If the lock fixed point fails to settle.
     """
-    template = workload.template
-    # Static per-chain structure.
-    state: dict[tuple[str, ChainType], dict] = {}
-    for site_name in template.sites:
-        site = sites[site_name]
-        for chain, rate in workload.chain_rates(site_name).items():
-            if rate <= 0.0:
-                continue
-            q = demands_mod.ios_per_request(site, template, chain)
-            locks = demands_mod.lock_count(template, chain, q)
-            state[(site_name, chain)] = {
-                "rate_ms": rate / 1e3, "q": q, "locks": locks,
-                "l": template.local_requests(chain),
-                "r": template.remote_requests(chain),
-                "pb": 0.0, "pd": 0.0, "pa": 0.0, "ns": 1.0,
-                "sigma": 0.5, "eY": locking.locks_at_abort(locks, 0.0),
-                "lh": 0.0, "blocked_frac": 0.0, "r_lw": 0.0,
-                "response": 0.0, "active": 0.0,
-            }
-    if not state:
-        raise ConfigurationError("open workload has no traffic")
-
-    cpu_util: dict[str, float] = {}
-    disk_util: dict[str, float] = {}
-    iterations = 0
-    residual = float("inf")
-    for iterations in range(1, max_iterations + 1):
-        # Demands from the current conflict iterates.
-        for (site_name, chain), s in state.items():
-            site = sites[site_name]
-            conflict = ConflictProbabilities(
-                blocking=min(1.0, s["pb"]),
-                deadlock_victim=min(1.0, s["pd"]))
-            visits = visit_counts(transition_matrix(
-                chain, s["l"], s["r"], s["q"], conflict))
-            costs = demands_mod.build_phase_costs(
-                site, template, chain, aborted_granules=s["eY"])
-            demands = demands_mod.aggregate_demands(
-                chain, visits, s["ns"], costs, 0.0)
-            s["cpu_ms"] = demands.cpu_ms
-            s["disk_ms"] = demands.db_disk_ms + demands.log_disk_ms
-            s["lw_visits"] = demands.lw_visits
-
-        # Open-network utilizations and responses per site.
-        new_residual = 0.0
-        for site_name in template.sites:
-            chains_here = [(c, s) for (sn, c), s in state.items()
-                           if sn == site_name]
-            if not chains_here:
-                continue
-            rho_cpu = sum(s["rate_ms"] * s["cpu_ms"]
-                          for _c, s in chains_here)
-            rho_disk = sum(s["rate_ms"] * s["disk_ms"]
-                           for _c, s in chains_here)
-            if rho_cpu >= 1.0 or rho_disk >= 1.0:
-                raise ConfigurationError(
-                    f"site {site_name} saturated (cpu {rho_cpu:.2f}, "
-                    f"disk {rho_disk:.2f}); reduce arrival rates")
-            cpu_util[site_name] = rho_cpu
-            disk_util[site_name] = rho_disk
-            for chain, s in chains_here:
-                active = (s["cpu_ms"] / (1.0 - rho_cpu)
-                          + s["disk_ms"] / (1.0 - rho_disk))
-                lw = s["lw_visits"] * s["r_lw"]
-                response = active + lw
-                if s["response"] > 0:
-                    new_residual = max(
-                        new_residual,
-                        abs(response - s["response"]) / s["response"])
-                else:
-                    new_residual = max(new_residual, 1.0)
-                s["response"] = response
-                s["active"] = active
-                s["blocked_frac"] = lw / response if response > 0 else 0.0
-
-        # Lock model per site (Little's law concurrency).
-        for site_name in template.sites:
-            site = sites[site_name]
-            chains_here = [(c, s) for (sn, c), s in state.items()
-                           if sn == site_name]
-            if not chains_here:
-                continue
-            populations = {}
-            locks_held = {}
-            for chain, s in chains_here:
-                concurrency = s["rate_ms"] * s["response"]
-                lh_single = locking.average_locks_held(
-                    s["locks"], s["pa"], s["sigma"], s["response"],
-                    think_time=0.0)
-                s["lh"] = ((1 - damping) * s["lh"]
-                           + damping * lh_single)
-                populations[chain] = concurrency
-                locks_held[chain] = s["lh"]
-            blocked = {chain: s["blocked_frac"]
-                       for chain, s in chains_here}
-            locks_of = {chain: s["locks"] for chain, s in chains_here}
-            actives = {chain: s["active"] for chain, s in chains_here}
-            for chain, s in chains_here:
-                pb = locking.blocking_probability(
-                    chain, populations, locks_held, site.granules)
-                pd = locking.deadlock_victim_probability(
-                    chain, populations, locks_held, blocked)
-                r_lw = locking.lock_wait_time(
-                    chain, populations, locks_held, locks_of, actives)
-                s["pb"] = (1 - damping) * s["pb"] + damping * pb
-                s["pd"] = (1 - damping) * s["pd"] + damping * pd
-                s["r_lw"] = (1 - damping) * s["r_lw"] + damping * r_lw
-                pa = demands_mod.abort_probability(
-                    chain, s["locks"], s["pb"], s["pd"])
-                s["pa"] = (1 - damping) * s["pa"] + damping * pa
-                s["ns"] = demands_mod.mean_submissions(
-                    min(s["pa"], 0.999))
-                s["eY"] = locking.locks_at_abort(
-                    s["locks"], s["pb"] * s["pd"])
-                s["sigma"] = s["eY"] / s["locks"]
-
-        residual = new_residual
-        if residual < tolerance:
-            break
-    else:
-        raise ConvergenceError("open model did not converge",
-                               iterations=iterations, residual=residual)
-
-    results: dict[str, dict[ChainType, OpenChainResult]] = {}
-    for (site_name, chain), s in state.items():
-        results.setdefault(site_name, {})[chain] = OpenChainResult(
-            chain=chain,
-            arrival_rate_per_s=s["rate_ms"] * 1e3,
-            response_ms=s["response"],
-            concurrency=s["rate_ms"] * s["response"],
-            abort_probability=s["pa"],
-            n_submissions=s["ns"],
-        )
-    return OpenSolution(sites=results, cpu_utilization=cpu_util,
-                        disk_utilization=disk_util,
-                        iterations=iterations)
+    batch = solve_open_batch(workload, sites, (1.0,), tolerance=tolerance,
+                             max_iterations=max_iterations, damping=damping)
+    return batch.solution(0)

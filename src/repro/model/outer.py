@@ -39,6 +39,14 @@ This engine is the only production form of the iteration:
 configuration, iterate state, warm start and solution building around
 it.  The scalar form lives only in the oracle module
 :mod:`repro.model.solver_reference`.
+
+**Shared array steps.**  The stacked visit solve
+(:func:`phase_visits`), the demand assembly (:class:`PhaseCostTable`),
+``L_h`` (:func:`locks_held`), the holder-mass ``Pb``/``Pd``/``R_LW``
+block (:func:`conflict_rates`) and ``E[Y]``/``sigma``
+(:func:`abort_state`) are module-level functions, so the open-arrival
+solver (:func:`repro.model.open_solver.solve_open_batch`) runs the
+same lock update as the closed engine.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.model import demands as demands_mod
+from repro.model import locking
 from repro.model.diagnostics import TRACKED_FIELDS, trace_clock
 from repro.obs import metrics as obs
 from repro.obs.spans import span
@@ -134,6 +143,236 @@ def _seq_sum_last(term: np.ndarray) -> np.ndarray:
     return out
 
 
+class PhaseCostTable:
+    """Per-visit phase costs of ``(site, chain)`` states.
+
+    Every array has the leading ``shape`` given at construction:
+    ``(B, M)`` for the closed engine, ``(1, M)`` for an open workload
+    whose rows share one structure.  The ``*_base`` arrays hold each
+    phase's cost (in :data:`PHASE_ORDER`) at zero aborted granules;
+    the undo slopes scale with ``E[Y]`` for update chains.
+    """
+
+    __slots__ = ("cpu_base", "db_base", "lg_base", "dbio_base",
+                 "lgio_base", "cpu_ta_slope", "ios_taio_slope",
+                 "block_io", "log_split")
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.cpu_base = np.zeros(shape + (_NPHASE,))
+        self.db_base = np.zeros(shape + (_NPHASE,))
+        self.lg_base = np.zeros(shape + (_NPHASE,))
+        self.dbio_base = np.zeros(shape + (_NPHASE,))
+        self.lgio_base = np.zeros(shape + (_NPHASE,))
+        self.cpu_ta_slope = np.zeros(shape)
+        self.ios_taio_slope = np.zeros(shape)
+        self.block_io = np.zeros(shape)
+        self.log_split = np.zeros(shape, dtype=bool)
+
+    def fill(self, index: tuple[int, ...], site, workload, chain) -> None:
+        """Load one state's costs from
+        :func:`~repro.model.demands.build_phase_costs`."""
+        base = demands_mod.build_phase_costs(site, workload, chain,
+                                             aborted_granules=0.0)
+        for table, values in ((self.cpu_base, base.cpu),
+                              (self.db_base, base.db_disk),
+                              (self.lg_base, base.log_disk),
+                              (self.dbio_base, base.db_ios),
+                              (self.lgio_base, base.log_ios)):
+            for phase, value in values.items():
+                table[index + (_PI[phase],)] = value
+        if chain.is_update:
+            self.cpu_ta_slope[index] = site.protocol.undo_cpu_per_granule
+            self.ios_taio_slope[index] = site.protocol.undo_ios_per_granule
+        self.block_io[index] = site.block_io_ms
+        self.log_split[index] = site.log_on_separate_disk
+
+    def demands(self, v: np.ndarray, ns: np.ndarray, ey: np.ndarray,
+                rows) -> tuple[np.ndarray, ...]:
+        """Center demands per commit cycle (Eqs. 5-6).
+
+        ``v`` is the ``(A, M, P)`` visit stack, ``ns``/``ey`` the
+        ``(A, M)`` submissions and granules undone per abort, and
+        ``rows`` the table rows matching ``v``'s leading axis (an index
+        array, or ``slice(None)`` for a ``(1, M)`` table).  Returns the
+        ``(A, M)`` CPU, database-disk and log-disk demands (ms), the
+        database and log I/O counts, and the per-visit TA CPU cost,
+        each summed in the scalar ``aggregate_demands`` order.
+        """
+        iTA, iDMIO = _PI[Phase.TA], _PI[Phase.DMIO]
+        iTAIO, iTCIO = _PI[Phase.TAIO], _PI[Phase.TCIO]
+        cb = self.cpu_base[rows]
+        cpu_ta = cb[:, :, iTA] + self.cpu_ta_slope[rows] * ey
+        undo_ios = self.ios_taio_slope[rows] * ey
+        undo_ms = undo_ios * self.block_io[rows]
+        split = self.log_split[rows]
+
+        acc = v[:, :, _PI[_CPU_ORDER[0]]] * cb[:, :, _PI[_CPU_ORDER[0]]]
+        # caratlint: disable=CL002 -- fixed phase summation order
+        for phase in _CPU_ORDER[1:]:
+            acc = acc + v[:, :, _PI[phase]] * cb[:, :, _PI[phase]]
+        acc = acc + v[:, :, iTA] * cpu_ta
+        cpu_ms = ns * acc
+
+        db = self.db_base[rows]
+        acc = (v[:, :, iDMIO] * db[:, :, iDMIO]
+               + v[:, :, iTCIO] * db[:, :, iTCIO]
+               + v[:, :, iTAIO] * np.where(split, 0.0, undo_ms))
+        db_ms = ns * acc
+        lg = self.lg_base[rows]
+        acc = (v[:, :, iTCIO] * lg[:, :, iTCIO]
+               + v[:, :, iTAIO] * np.where(split, undo_ms, 0.0))
+        lg_ms = ns * acc
+        dbio = self.dbio_base[rows]
+        acc = (v[:, :, iDMIO] * dbio[:, :, iDMIO]
+               + v[:, :, iTCIO] * dbio[:, :, iTCIO]
+               + v[:, :, iTAIO] * np.where(split, 0.0, undo_ios))
+        db_ios = ns * acc
+        lgio = self.lgio_base[rows]
+        acc = (v[:, :, iTCIO] * lgio[:, :, iTCIO]
+               + v[:, :, iTAIO] * np.where(split, undo_ios, 0.0))
+        return cpu_ms, db_ms, lg_ms, db_ios, ns * acc, cpu_ta
+
+
+def phase_visits(p0: np.ndarray, rows: np.ndarray, pb: np.ndarray,
+                 pd: np.ndarray, pra: np.ndarray | None = None,
+                 has_rw: np.ndarray | None = None) -> np.ndarray:
+    """Visit counts per cycle of a stack of phase chains (Eq. 1).
+
+    ``p0`` holds the ``(B, M, P, P)`` no-conflict transition matrices
+    and ``rows`` the ``(A,)`` index of the ``p0`` row behind each of
+    the ``A`` batch rows.  ``pb`` and ``pd`` (``(A, M)``, clamped at
+    1) are patched into the LR and LW rows, and ``pra`` (``(A, M)``)
+    into the RW rows of the ``(M,)`` mask ``has_rw``; without ``pra``
+    the RW rows stay as in ``p0``.  All ``A * M`` traffic equations
+    are solved by one stacked ``linalg.solve``; returns the
+    ``(A, M, P)`` visits, ``V_UT = 1``.
+    """
+    A, M = pb.shape
+    P = p0[rows]
+    pbv = np.minimum(1.0, pb)
+    pdv = np.minimum(1.0, pd)
+    iLR, iLW, iRW, iTM, iTA = (_PI[Phase.LR], _PI[Phase.LW],
+                               _PI[Phase.RW], _PI[Phase.TM],
+                               _PI[Phase.TA])
+    iDMIO = _PI[Phase.DMIO]
+    P[:, :, iLR, iDMIO] = 1.0 - pbv
+    P[:, :, iLR, iLW] = pbv
+    P[:, :, iLW, iDMIO] = 1.0 - pdv
+    P[:, :, iLW, iTA] = pdv
+    if pra is not None and has_rw is not None:
+        prv = np.minimum(1.0, pra)
+        P[:, has_rw, iRW, iTM] = 1.0 - prv[:, has_rw]
+        P[:, has_rw, iRW, iTA] = prv[:, has_rw]
+
+    a = np.ascontiguousarray(
+        (np.eye(_NPHASE) - P).transpose(0, 1, 3, 2))
+    iUT = _PI[Phase.UT]
+    a[:, :, iUT, :] = 0.0
+    a[:, :, iUT, iUT] = 1.0
+    rhs = np.zeros((A, M, _NPHASE))
+    rhs[:, :, iUT] = 1.0
+    v = np.linalg.solve(a.reshape(A * M, _NPHASE, _NPHASE),
+                        rhs.reshape(A * M, _NPHASE, 1))[..., 0]
+    if np.any(v < -1e-9):
+        raise ConfigurationError("negative visit count; matrix is "
+                                 "not a valid phase chain")
+    return np.maximum(0.0, v).reshape(A, M, _NPHASE)
+
+
+def locks_held(locks: np.ndarray, pa: np.ndarray, sigma: np.ndarray,
+               rs: np.ndarray, think) -> np.ndarray:
+    """``L_h`` per state (Eq. 14) with ``R_f = sigma * R_s``.
+
+    ``locks`` is ``(A, M)`` or ``(1, M)``; ``pa``, ``sigma`` and the
+    successful-execution response ``rs`` are ``(A, M)``; ``think`` is
+    an ``(A, 1)`` column or a scalar.  States with ``rs <= 0`` hold
+    no locks.
+    """
+    r_f = sigma * rs
+    num = (1.0 - (1.0 - sigma ** 2) * pa) * rs
+    den = pa * r_f + (1.0 - pa) * rs + think
+    safe_den = np.where(den > 0.0, den, 1.0)
+    return np.where(rs > 0.0, (locks / 2.0) * num / safe_den, 0.0)
+
+
+def conflict_rates(pop: np.ndarray, lh: np.ndarray, gran: np.ndarray,
+                   bf: np.ndarray, act: np.ndarray, locks: np.ndarray,
+                   br: np.ndarray, can_block: np.ndarray,
+                   override: np.ndarray | None = None,
+                   has_override: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Undamped ``Pb``, ``Pd`` and ``R_LW`` per state (Eqs. 15-20).
+
+    ``pop`` (customers per state: a closed population or an open
+    Little's-law concurrency), ``lh``, the blocked fraction ``bf`` and
+    the active time ``act`` are ``(A, M)``; the effective granules
+    ``gran``, ``locks`` and the blocking ratio ``br`` are ``(A, M)``
+    or ``(1, M)``; ``can_block`` is the ``(M, M)`` same-site,
+    conflicting-mode mask.  Rows flagged in ``has_override``
+    (``(A,)``) use their ``override`` (``(A,)``) blocking ratio.
+
+    The holder mass has the requester on axis 1 and the holder on
+    axis 2, and a transaction never blocks on its own locks.
+    Reductions run over holders in state order, as the scalar loops.
+    """
+    raw = pop[:, None, :] * lh[:, None, :]
+    raw = raw - np.eye(lh.shape[-1])[None, :, :] * lh[:, None, :]
+    raw = np.maximum(0.0, raw)
+    mass = np.where(can_block[None, :, :], raw, 0.0)
+    rowsum = _seq_sum_last(mass)
+    new_pb = np.minimum(1.0, rowsum / gran)
+    safe_total = np.where(rowsum > 0.0, rowsum, 1.0)
+    dist = np.where(rowsum[:, :, None] > 0.0,
+                    mass / safe_total[:, :, None], 0.0)
+
+    bf_h = bf[:, None, :]
+    total_h = rowsum[:, None, :]
+    safe_h = np.where(total_h > 0.0, total_h, 1.0)
+    share = np.minimum(1.0, lh[:, :, None] / safe_h)
+    term = np.where((dist > 0.0) & (bf_h > 0.0) & (total_h > 0.0),
+                    (dist * bf_h) * share, 0.0)
+    new_pd = np.where(lh > 0.0,
+                      np.minimum(1.0, _seq_sum_last(term)), 0.0)
+
+    act_h = act[:, None, :]
+    locks_h = locks[:, None, :]
+    br_h = br[:, None, :]
+    wait = np.where((dist > 0.0) & (locks_h > 0.0) & (act_h > 0.0),
+                    (dist * br_h) * act_h, 0.0)
+    new_rlw = _seq_sum_last(wait)
+    if override is not None and has_override is not None:
+        ov = override[:, None, None]
+        wait_o = np.where(dist > 0.0, (dist * ov) * act_h, 0.0)
+        new_rlw = np.where(has_override[:, None],
+                           _seq_sum_last(wait_o), new_rlw)
+    return new_pb, new_pd, new_rlw
+
+
+def abort_state(locks: np.ndarray, per_lock: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``E[Y]`` (Eq. 11) and ``sigma = E[Y] / N_lk`` per state.
+
+    ``locks`` is ``(A, M)`` or ``(1, M)``; ``per_lock`` is the
+    ``(A, M)`` per-lock abort probability ``Pb * Pd``, clamped at 1.
+    Small ``p * N_lk`` takes the uniform limit ``(N_lk - 1) / 2``;
+    chains without locks get zero for both.
+    """
+    per_lock = np.minimum(1.0, per_lock)
+    half = (locks - 1.0) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = 1.0 - per_lock
+        xn = x ** locks
+        safe_p = np.where(per_lock > 0.0, per_lock, 1.0)
+        closed = x / safe_p - (locks * xn) / (1.0 - xn)
+        closed = np.minimum(np.maximum(closed, 0.0), half)
+    ey = np.where(
+        locks <= 0.0, 0.0,
+        np.where(per_lock * locks < 1e-4, np.maximum(0.0, half),
+                 np.where(per_lock >= 1.0 - 1e-12, 0.0, closed)))
+    locks_safe = np.where(locks > 0.0, locks, 1.0)
+    return ey, np.where(locks <= 0.0, 0.0, ey / locks_safe)
+
+
 class _MvaGroup:
     """One stack of same-layout ``(model, site)`` pairs."""
 
@@ -207,7 +446,6 @@ class _BatchEngine:
             [m for m in range(M) if self.site_of[m] == s]
             for s in range(self.S)
         ]
-        self.eye_m = np.eye(M)
 
         # Per-(b, m) structural scalars and cost bases.
         self.pop_f = np.zeros((B, M))
@@ -217,17 +455,9 @@ class _BatchEngine:
         self.lreq = np.zeros((B, M))
         self.rreq = np.zeros((B, M))
         self.gran = np.zeros((B, M))
-        self.block_io = np.zeros((B, M))
-        self.log_split = np.zeros((B, M), dtype=bool)
         self.commit_ms = np.zeros((B, M))
         self.records_int: list[list[int]] = []
-        self.cpu_base = np.zeros((B, M, _NPHASE))
-        self.db_base = np.zeros((B, M, _NPHASE))
-        self.lg_base = np.zeros((B, M, _NPHASE))
-        self.dbio_base = np.zeros((B, M, _NPHASE))
-        self.lgio_base = np.zeros((B, M, _NPHASE))
-        self.cpu_ta_slope = np.zeros((B, M))
-        self.ios_taio_slope = np.zeros((B, M))
+        self.costs = PhaseCostTable((B, M))
         self.p0 = np.zeros((B, M, _NPHASE, _NPHASE))
         self.think = np.zeros((B, 1))
         self.damp = np.zeros((B, 1))
@@ -262,39 +492,16 @@ class _BatchEngine:
                 self.qv[b, m] = st.q
                 self.lreq[b, m] = float(st.local_requests)
                 self.rreq[b, m] = float(st.remote_requests)
-                # Zipf multipliers depend on the site's granule count,
-                # so the collision factor is per (model, site).
-                collision = wl.collision_multiplier(site.granules)
-                self.gran[b, m] = float(max(1, int(round(
-                    site.granules / collision))))
-                self.block_io[b, m] = site.block_io_ms
-                self.log_split[b, m] = site.log_on_separate_disk
+                self.gran[b, m] = locking.effective_granules(wl, site)
                 records = wl.requests_per_txn * wl.records_per_request
                 if chain.is_slave:
                     records = wl.records_per_txn(chain)
                 recs.append(records)
-                base = demands_mod.build_phase_costs(site, wl, chain,
-                                                     aborted_granules=0.0)
-                for phase, value in base.cpu.items():
-                    self.cpu_base[b, m, _PI[phase]] = value
-                for phase, value in base.db_disk.items():
-                    self.db_base[b, m, _PI[phase]] = value
-                for phase, value in base.log_disk.items():
-                    self.lg_base[b, m, _PI[phase]] = value
-                for phase, value in base.db_ios.items():
-                    self.dbio_base[b, m, _PI[phase]] = value
-                for phase, value in base.log_ios.items():
-                    self.lgio_base[b, m, _PI[phase]] = value
-                if chain.is_update:
-                    protocol = site.protocol
-                    self.cpu_ta_slope[b, m] = protocol.undo_cpu_per_granule
-                    self.ios_taio_slope[b, m] = (
-                        protocol.undo_ios_per_granule
-                    )
+                self.costs.fill((b, m), site, wl, chain)
                 self.commit_ms[b, m] = (
-                    base.cpu.get(Phase.TC, 0.0)
-                    + base.db_disk.get(Phase.TCIO, 0.0)
-                    + base.log_disk.get(Phase.TCIO, 0.0))
+                    self.costs.cpu_base[b, m, _PI[Phase.TC]]
+                    + self.costs.db_base[b, m, _PI[Phase.TCIO]]
+                    + self.costs.lg_base[b, m, _PI[Phase.TCIO]])
                 self.p0[b, m] = transition_matrix(
                     chain, st.local_requests, st.remote_requests, st.q,
                     NO_CONFLICT)
@@ -393,78 +600,17 @@ class _BatchEngine:
 
         ``al`` is the ``(A,)`` vector of alive batch-row indices.
         """
-        A = len(al)
-        M = self.M
-        pbv = np.minimum(1.0, self.it["pb"][al])
-        pdv = np.minimum(1.0, self.it["pd"][al])
-        prv = np.minimum(1.0, self.it["pra"][al])
-        P = self.p0[al].copy()
-        iLR, iLW, iRW, iTM, iTA = (_PI[Phase.LR], _PI[Phase.LW],
-                                   _PI[Phase.RW], _PI[Phase.TM],
-                                   _PI[Phase.TA])
-        iDMIO = _PI[Phase.DMIO]
-        P[:, :, iLR, iDMIO] = 1.0 - pbv
-        P[:, :, iLR, iLW] = pbv
-        P[:, :, iLW, iDMIO] = 1.0 - pdv
-        P[:, :, iLW, iTA] = pdv
-        hr = self.has_rw
-        P[:, hr, iRW, iTM] = 1.0 - prv[:, hr]
-        P[:, hr, iRW, iTA] = prv[:, hr]
-
-        a = np.ascontiguousarray(
-            (np.eye(_NPHASE) - P).transpose(0, 1, 3, 2))
-        iUT = _PI[Phase.UT]
-        a[:, :, iUT, :] = 0.0
-        a[:, :, iUT, iUT] = 1.0
-        rhs = np.zeros((A, M, _NPHASE))
-        rhs[:, :, iUT] = 1.0
-        v = np.linalg.solve(a.reshape(A * M, _NPHASE, _NPHASE),
-                            rhs.reshape(A * M, _NPHASE, 1))[..., 0]
-        if np.any(v < -1e-9):
-            raise ConfigurationError("negative visit count; matrix is "
-                                     "not a valid phase chain")
-        v = np.maximum(0.0, v).reshape(A, M, _NPHASE)
-
+        v = phase_visits(self.p0, al, self.it["pb"][al],
+                         self.it["pd"][al], self.it["pra"][al],
+                         self.has_rw)
         ey = self.it["ey"][al]
         ns = self.it["ns"][al]
-        cpu_ta = self.cpu_base[al][:, :, iTA] + self.cpu_ta_slope[al] * ey
-        undo_ios = self.ios_taio_slope[al] * ey
-        undo_ms = undo_ios * self.block_io[al]
-        split = self.log_split[al]
-        iTAIO, iTCIO = _PI[Phase.TAIO], _PI[Phase.TCIO]
-        iCWC, iCWA = _PI[Phase.CWC], _PI[Phase.CWA]
+        (self.cpu_ms[al], self.db_ms[al], self.lg_ms[al], self.dbio[al],
+         self.lgio[al], cpu_ta) = self.costs.demands(v, ns, ey, al)
 
-        cb = self.cpu_base[al]
-        acc = v[:, :, _PI[_CPU_ORDER[0]]] * cb[:, :, _PI[_CPU_ORDER[0]]]
-        # Eight phases, summed in the scalar aggregate_demands
-        # insertion order for bit-exactness.
-        # caratlint: disable=CL002 -- fixed phase summation order
-        for phase in _CPU_ORDER[1:]:
-            acc = acc + v[:, :, _PI[phase]] * cb[:, :, _PI[phase]]
-        acc = acc + v[:, :, iTA] * cpu_ta
-        self.cpu_ms[al] = ns * acc
-
-        db = self.db_base[al]
-        acc = (v[:, :, iDMIO] * db[:, :, iDMIO]
-               + v[:, :, iTCIO] * db[:, :, iTCIO]
-               + v[:, :, iTAIO] * np.where(split, 0.0, undo_ms))
-        self.db_ms[al] = ns * acc
-        lg = self.lg_base[al]
-        acc = (v[:, :, iTCIO] * lg[:, :, iTCIO]
-               + v[:, :, iTAIO] * np.where(split, undo_ms, 0.0))
-        self.lg_ms[al] = ns * acc
-        dbio = self.dbio_base[al]
-        acc = (v[:, :, iDMIO] * dbio[:, :, iDMIO]
-               + v[:, :, iTCIO] * dbio[:, :, iTCIO]
-               + v[:, :, iTAIO] * np.where(split, 0.0, undo_ios))
-        self.dbio[al] = ns * acc
-        lgio = self.lgio_base[al]
-        acc = (v[:, :, iTCIO] * lgio[:, :, iTCIO]
-               + v[:, :, iTAIO] * np.where(split, undo_ios, 0.0))
-        self.lgio[al] = ns * acc
-
-        lwv = ns * v[:, :, iLW]
-        rwv = ns * v[:, :, iRW]
+        iTM, iCWC, iCWA = _PI[Phase.TM], _PI[Phase.CWC], _PI[Phase.CWA]
+        lwv = ns * v[:, :, _PI[Phase.LW]]
+        rwv = ns * v[:, :, _PI[Phase.RW]]
         cwv = ns * (v[:, :, iCWC] + v[:, :, iCWA])
         self.lwv[al] = lwv
         self.rwv[al] = rwv
@@ -477,7 +623,10 @@ class _BatchEngine:
         self.ey_reb[al] = ey
         self.V[al] = v
         if self.tm_flag:
-            iTC = _PI[Phase.TC]
+            iTC, iTA, iTCIO = _PI[Phase.TC], _PI[Phase.TA], _PI[Phase.TCIO]
+            cb = self.costs.cpu_base[al]
+            db = self.costs.db_base[al]
+            lg = self.costs.lg_base[al]
             tmm = ns * (v[:, :, iTM] + v[:, :, iTC] + v[:, :, iTA])
             held_cpu = (v[:, :, iTM] * cb[:, :, iTM]
                         + v[:, :, iTC] * cb[:, :, iTC]
@@ -681,76 +830,24 @@ class _BatchEngine:
         """
         damp, omd = self.damp[al], self.omd[al]
         locks = self.locks[al]
-        think = self.think[al]
-        rs = self.it["resp_s"][al]
-        pa = self.it["pa"][al]
-        sig = self.it["sigma"][al]
-        r_f = sig * rs
-        num = (1.0 - (1.0 - sig ** 2) * pa) * rs
-        den = pa * r_f + (1.0 - pa) * rs + think
-        safe_den = np.where(den > 0.0, den, 1.0)
-        new_lh = np.where(rs > 0.0,
-                          (locks / 2.0) * num / safe_den, 0.0)
+        new_lh = locks_held(locks, self.it["pa"][al],
+                            self.it["sigma"][al], self.it["resp_s"][al],
+                            self.think[al])
         lh = omd * self.it["lh"][al] + damp * new_lh
         self.it["lh"][al] = lh
-
-        # Holder mass (requester axis 1, holder axis 2), same site and
-        # lock-mode compatible only; a transaction never blocks on its
-        # own locks.
-        raw = self.pop_f[al][:, None, :] * lh[:, None, :]
-        raw = raw - self.eye_m[None, :, :] * lh[:, None, :]
-        raw = np.maximum(0.0, raw)
-        mass = np.where(self.can_block[None, :, :], raw, 0.0)
-        rowsum = _seq_sum_last(mass)
-        new_pb = np.minimum(1.0, rowsum / self.gran[al])
-        safe_total = np.where(rowsum > 0.0, rowsum, 1.0)
-        dist = np.where(rowsum[:, :, None] > 0.0,
-                        mass / safe_total[:, :, None], 0.0)
-
-        bf_h = self.it["bf"][al][:, None, :]
-        total_h = rowsum[:, None, :]
-        safe_h = np.where(total_h > 0.0, total_h, 1.0)
-        share = np.minimum(1.0, lh[:, :, None] / safe_h)
-        term = np.where((dist > 0.0) & (bf_h > 0.0) & (total_h > 0.0),
-                        (dist * bf_h) * share, 0.0)
-        new_pd = np.where(lh > 0.0,
-                          np.minimum(1.0, _seq_sum_last(term)), 0.0)
-
-        act_h = self.it["act_s"][al][:, None, :]
-        locks_h = self.locks[al][:, None, :]
-        br_h = self.br[al][:, None, :]
-        wait = np.where((dist > 0.0) & (locks_h > 0.0) & (act_h > 0.0),
-                        (dist * br_h) * act_h, 0.0)
-        new_rlw = _seq_sum_last(wait)
-        if self.has_ov.any():
-            ov = self.override[al][:, None, None]
-            wait_o = np.where(dist > 0.0, (dist * ov) * act_h, 0.0)
-            new_rlw = np.where(self.has_ov[al][:, None],
-                               _seq_sum_last(wait_o), new_rlw)
-
+        ov = (self.override[al], self.has_ov[al]) if self.has_ov.any() \
+            else (None, None)
+        new_pb, new_pd, new_rlw = conflict_rates(
+            self.pop_f[al], lh, self.gran[al], self.it["bf"][al],
+            self.it["act_s"][al], locks, self.br[al], self.can_block, *ov)
         pb = omd * self.it["pb"][al] + damp * new_pb
         pd = omd * self.it["pd"][al] + damp * new_pd
         self.it["pb"][al] = pb
         self.it["pd"][al] = pd
         self.it["r_lw"][al] = (omd * self.it["r_lw"][al]
                                + damp * new_rlw)
-
-        # E[Y] and sigma from the refreshed Pb * Pd (Eq. 11).
-        per_lock = np.minimum(1.0, pb * pd)
-        half = (locks - 1.0) / 2.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = 1.0 - per_lock
-            xn = x ** locks
-            safe_p = np.where(per_lock > 0.0, per_lock, 1.0)
-            closed = x / safe_p - (locks * xn) / (1.0 - xn)
-            closed = np.minimum(np.maximum(closed, 0.0), half)
-        ey = np.where(
-            locks <= 0.0, 0.0,
-            np.where(per_lock * locks < 1e-4, np.maximum(0.0, half),
-                     np.where(per_lock >= 1.0 - 1e-12, 0.0, closed)))
-        self.it["ey"][al] = ey
-        self.it["sigma"][al] = np.where(locks <= 0.0, 0.0,
-                                        ey / self.locks_safe[al])
+        self.it["ey"][al], self.it["sigma"][al] = abort_state(locks,
+                                                              pb * pd)
 
     def _update_remote(self, al: np.ndarray) -> None:
         """Step 3c: R_RW and R_CW from the fresh site solutions.

@@ -23,7 +23,9 @@ SLO questions reduce to bisection: response time and abort
 probability grow monotonically with population, so the largest
 feasible MPL is a predicate boundary on the same grid.  Arrival-rate
 capacity uses the open model (:mod:`repro.model.open_solver`), where
-saturation is an explicit :class:`~repro.errors.ConfigurationError`.
+saturation is a per-row outcome of one batched solve: a doubling
+ladder and a few 16-point refinement rounds replace serial doubling
+and bisection.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.errors import ConfigurationError, ConvergenceError
-from repro.model.open_solver import OpenWorkload, solve_open_model
+from repro.model.open_solver import OpenWorkload, solve_open_batch
 from repro.model.parameters import SiteParameters
 from repro.model.results import USER_CHAINS, ModelSolution
 from repro.model.solver import CaratModel, ModelConfig, WarmStart
@@ -53,6 +55,11 @@ __all__ = ["mix_quantum", "scale_to_mpl", "mpl_grid", "PlanEvaluator",
 
 #: Throughput drop (relative to the peak) that counts as thrashing.
 KNEE_DROP = 0.05
+
+#: Interior arrival rates per batched refinement round of
+#: :func:`slo_max_arrival_per_s`: each round narrows the bracket 17-fold,
+#: so the default 24-bisection resolution takes six rounds.
+REFINE_POINTS = 16
 
 #: Zero-conflict bottleneck utilization treated as "saturated" by the
 #: grid pre-screen (just under 1.0: the Schweitzer curve approaches
@@ -574,52 +581,53 @@ def slo_max_arrival_per_s(
     """Highest total user arrival rate (transactions/s, all sites)
     meeting a mean-response target, via the open model.
 
-    Arrival rates keep the closed mix's proportions.  The bracket
-    grows geometrically until the open solver reports saturation
-    (or the response target breaks), then bisects.  Returns ``None``
-    when even a vanishing arrival rate misses the target (the target
-    is below the no-contention response time).
+    Arrival rates keep the closed mix's proportions.  One batched open
+    solve evaluates the whole doubling ladder ``1e-3 * 2**k`` per-user
+    transactions/s, ``k = 0 .. max_doublings``; its first infeasible
+    rung (saturated, or the target broken) brackets the capacity
+    exactly as serial doubling would.  Refinement rounds then split
+    the bracket at :data:`REFINE_POINTS` interior rates per batched
+    solve until it is no wider than ``2**-bisections`` of its first
+    width.  Returns ``None`` when even the first rung misses the target
+    (the target is below the no-contention response time), and the
+    ladder top when no rung breaks it.
     """
-    counts = {site: {base: count
+    counts = {site: {base: float(count)
                      for base, count in bases.items() if count > 0}
               for site, bases in workload.users.items()}
     total_users = sum(sum(bases.values()) for bases in counts.values())
 
-    def mean_response(per_user_rate: float) -> float | None:
-        arrivals = {site: {base: per_user_rate * count
-                           for base, count in bases.items()}
-                    for site, bases in counts.items()}
+    def feasible(per_user_rates: np.ndarray) -> np.ndarray:
         try:
-            solution = solve_open_model(
-                OpenWorkload(template=workload,
-                             arrivals_per_s=arrivals), sites)
-        except (ConfigurationError, ConvergenceError):
-            return None  # saturated (or no steady state): infeasible
-        weight = acc = 0.0
-        for site_chains in solution.sites.values():
-            for result in site_chains.values():
-                weight += result.arrival_rate_per_s
-                acc += result.arrival_rate_per_s * result.response_ms
-        return acc / weight if weight > 0 else 0.0
+            batch = solve_open_batch(
+                OpenWorkload(template=workload, arrivals_per_s=counts),
+                sites, per_user_rates)
+        except ConfigurationError:
+            # No traffic or no valid phase chain: no rate is feasible.
+            return np.zeros(len(per_user_rates), dtype=bool)
+        return batch.converged & (batch.mean_response_ms
+                                  <= response_target_ms)
 
-    def feasible(per_user_rate: float) -> bool:
-        response = mean_response(per_user_rate)
-        return response is not None and response <= response_target_ms
-
-    rate = 1e-3  # per-user transactions/s; vanishing load
-    if not feasible(rate):
+    ladder = 1e-3 * 2.0 ** np.arange(max(0, max_doublings) + 1)
+    ok = feasible(ladder)
+    if not ok[0]:
         return None
-    for _ in range(max_doublings):
-        if not feasible(rate * 2.0):
-            break
-        rate *= 2.0
-    else:
-        return rate * total_users  # target never broke within bracket
-    lo, hi = rate, rate * 2.0
-    for _ in range(bisections):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
+    if ok.all():
+        return float(ladder[-1]) * total_users
+    top = int(np.argmin(ok))
+    lo, hi = float(ladder[top - 1]), float(ladder[top])
+    rounds = 0
+    while (REFINE_POINTS + 1) ** rounds < 2 ** bisections:
+        rounds += 1
+    steps = np.arange(1, REFINE_POINTS + 1) / (REFINE_POINTS + 1)
+    for _ in range(rounds):
+        grid = lo + (hi - lo) * steps
+        ok = feasible(grid)
+        if ok.all():
+            lo = float(grid[-1])
+            continue
+        first = int(np.argmin(ok))
+        hi = float(grid[first])
+        if first:
+            lo = float(grid[first - 1])
     return lo * total_users

@@ -14,8 +14,8 @@ from repro.experiments import perf as perf_mod
 from repro.experiments.perf import (BENCH_SCHEMA, BenchRecord,
                                     compare_records, load_records,
                                     run_des_bench, run_kernel_bench,
-                                    run_outer_bench, run_suite,
-                                    write_records)
+                                    run_open_bench, run_outer_bench,
+                                    run_suite, write_records)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BASELINES = REPO_ROOT / "benchmarks" / "baselines"
@@ -71,6 +71,15 @@ def _des_record(**overrides):
         "wall_ms": {"run": 300.0},
         "detail": {"events_per_s": 200_000.0, "sweep": "tab3", "n": 8,
                    "seed": 7},
+    }, overrides)
+
+
+def _open_record(**overrides):
+    return _make("open", "open", {
+        "counters": {"open_calls": 7, "open_iterations": 3_000},
+        "wall_ms": {"run": 600.0},
+        "detail": {"mix": "MB4", "n": 8, "target_ms": 13_900.0,
+                   "open_points": 121, "max_arrival_per_s": 11.0},
     }, overrides)
 
 
@@ -350,6 +359,36 @@ class TestDesBench:
         assert _gate(current, _des_record(), time_tolerance=0.01) == []
 
 
+class TestOpenBench:
+    @pytest.fixture(scope="class")
+    def record(self):
+        return run_open_bench(repeats=1)
+
+    def test_run_open_bench_populated(self, record):
+        assert (record.layer, record.name) == ("open", "open")
+        assert (record.detail["mix"], record.detail["n"]) == ("MB4", 8)
+        assert record.counters["open_calls"] == 7
+        assert record.counters["open_iterations"] > 0
+        assert record.detail["open_points"] >= record.counters["open_calls"]
+        assert record.detail["max_arrival_per_s"] > 0.0
+        assert record.wall_ms["run"] > 0.0
+
+    def test_counters_are_exact(self, record):
+        """The search probes the same rates every run, so the strict
+        counter gate cannot trip on noise."""
+        assert run_open_bench(repeats=1).counters == record.counters
+
+    def test_compare_flags_extra_calls(self):
+        problems = _gate(_open_record(counters={"open_calls": 32}),
+                         _open_record())
+        assert problems == ["open: counters.open_calls regressed 32 "
+                            "vs baseline 7 (+357%)"]
+
+    def test_noise_floor_absorbs_small_blip(self):
+        current = _open_record(wall_ms={"run": 690.0})
+        assert _gate(current, _open_record(), time_tolerance=0.01) == []
+
+
 class TestMain:
     @pytest.fixture
     def canned_suite(self, monkeypatch):
@@ -361,6 +400,8 @@ class TestMain:
                             lambda *a, **kw: _outer_record())
         monkeypatch.setattr(perf_mod, "run_des_bench",
                             lambda *a, **kw: _des_record())
+        monkeypatch.setattr(perf_mod, "run_open_bench",
+                            lambda *a, **kw: _open_record())
 
     @pytest.fixture
     def check_with(self, tmp_path, monkeypatch, capsys, canned_suite):
@@ -385,7 +426,7 @@ class TestMain:
                               "--baseline-dir", baseline_dir]) == 0
         assert perf_mod.main(["--check",
                               "--baseline-dir", baseline_dir]) == 0
-        assert "perf gate passed (4 baselines" in capsys.readouterr().out
+        assert "perf gate passed (5 baselines" in capsys.readouterr().out
 
     def test_check_without_baseline_fails(self, tmp_path, canned_suite):
         assert perf_mod.main(["--check", "--baseline-dir",
@@ -398,6 +439,7 @@ class TestMain:
         assert (out / "BENCH_kernels.json").is_file()
         assert (out / "BENCH_outer.json").is_file()
         assert (out / "BENCH_des.json").is_file()
+        assert (out / "BENCH_open.json").is_file()
 
     def test_counter_regression_fails_check(self, check_with):
         code, out = check_with(
@@ -423,12 +465,18 @@ class TestMain:
         assert code == 1
         assert "REGRESSION des: counters.commits" in out
 
+    def test_open_regression_fails_check(self, check_with):
+        code, out = check_with("run_open_bench",
+                               _open_record(counters={"open_calls": 32}))
+        assert code == 1
+        assert "REGRESSION open: counters.open_calls" in out
+
     def test_committed_baseline_matches_schema(self):
         """The baseline shipped in-repo loads under the current schema
         and covers every benchmark a run produces."""
         baseline = load_records(BASELINES)
         assert set(baseline) == {*perf_mod.SUITE, "kernels", "outer",
-                                 "des"}
+                                 "des", "open"}
         for name in perf_mod.SUITE:
             assert baseline[name].counters["model_iterations"] > 0
 
@@ -448,3 +496,10 @@ class TestMain:
         des = load_records(BASELINES)["des"]
         assert des.counters == {"des_events": 63247, "commits": 113}
         assert des.wall_ms["run"] > 0.0
+
+    def test_committed_open_baseline_loads(self):
+        """The committed open baseline pins the SLO search at seven
+        batched solver calls."""
+        record = load_records(BASELINES)["open"]
+        assert record.counters["open_calls"] == 7
+        assert record.wall_ms["run"] > 0.0
