@@ -33,12 +33,17 @@ from :class:`~repro.model.solver_reference.ReferenceCaratModel` are
 last-ulp rounding in the demand assembly, contracted by the damped
 update (the property tests pin agreement at 1e-9).
 
-This engine is the only production form of the iteration:
-``CaratModel.solve()`` runs it with ``B = 1``, and
-:class:`~repro.model.solver.CaratModel` itself holds only the
-configuration, iterate state, warm start and solution building around
-it.  The scalar form lives only in the oracle module
-:mod:`repro.model.solver_reference`.
+This engine is the only production form of the iteration, and the
+only owner of its state: it reads the structural values (populations,
+``q``, lock counts, request counts) straight from each model's
+workload and sites, seeds the iterates from zeros or the model's warm
+start, and builds each :class:`~repro.model.results.ModelSolution`,
+snapshot and site network from its arrays through the shared
+builders of :mod:`repro.model.solver`.
+``CaratModel.solve()`` runs it with ``B = 1``; before any solve,
+:func:`seed_state` rebuilds a one-row batch for
+``CaratModel.site_network`` and ``CaratModel.snapshot``.  The scalar
+form lives only in the oracle module :mod:`repro.model.solver_reference`.
 
 **Shared array steps.**  The stacked visit solve
 (:func:`phase_visits`), the demand assembly (:class:`PhaseCostTable`),
@@ -59,10 +64,16 @@ from repro.errors import ConfigurationError, ConvergenceError
 from repro.model import demands as demands_mod
 from repro.model import locking
 from repro.model.diagnostics import TRACKED_FIELDS, trace_clock
+from repro.model.phases import NO_CONFLICT, transition_matrix
+from repro.model.results import ModelSolution
+from repro.model.solver import (_EXACT_LATTICE_BUDGET, _MVA_QUEUE_SITE,
+                                _WARM_FIELDS, QUEUEING_CENTERS, ChainRow,
+                                WarmStart, build_site_network,
+                                build_solution, site_centers)
+from repro.model.types import PHASE_ORDER, ChainType, Phase
+from repro.model.workload import WorkloadSpec
 from repro.obs import metrics as obs
 from repro.obs.spans import span
-from repro.model.results import ModelSolution
-from repro.model.types import PHASE_ORDER, ChainType, Phase
 from repro.queueing.kernels import (
     NetworkArrays,
     assemble_solution,
@@ -70,8 +81,9 @@ from repro.queueing.kernels import (
     solve_exact_batch,
     solve_schweitzer_batch,
 )
+from repro.queueing.network import ClosedNetwork
 
-__all__ = ["solve_outer_batch"]
+__all__ = ["solve_outer_batch", "seed_state"]
 
 _PI = {phase: i for i, phase in enumerate(PHASE_ORDER)}
 _NPHASE = len(PHASE_ORDER)
@@ -82,37 +94,15 @@ _NPHASE = len(PHASE_ORDER)
 _CPU_ORDER = (Phase.U, Phase.TM, Phase.DM, Phase.LR, Phase.DMIO,
               Phase.UL, Phase.INIT, Phase.TC)
 
-#: Iterate fields: engine array name -> ``_ChainState`` attribute.
-_ITERATES = {
-    "pb": "pb",
-    "pd": "pd",
-    "pra": "pra",
-    "pa": "abort_prob",
-    "ns": "n_submissions",
-    "ey": "locks_at_abort",
-    "sigma": "sigma",
-    "lh": "locks_held",
-    "bf": "blocked_fraction",
-    "r_lw": "r_lw",
-    "r_rw": "r_rw",
-    "r_cw": "r_cw",
-    "r_tms": "r_tms",
-    "resp_s": "response_success_ms",
-    "act_s": "active_success_ms",
-    "cycle": "cycle_response_ms",
-    "xput": "throughput_per_ms",
-}
+#: Warm-start snapshot field -> engine iterate array.  ``E[Y]``
+#: (``ey``) and ``sigma`` are the other two iterates: they depend on
+#: the lock count, so they are always derived, never carried.
+_WARM_ARRAY = dict(zip(_WARM_FIELDS, (
+    "pb", "pd", "pra", "pa", "ns", "r_lw", "r_rw", "r_cw", "r_tms",
+    "lh", "bf", "resp_s", "act_s", "cycle", "xput")))
 
 #: ``TRACKED_FIELDS`` (diagnostics) -> engine iterate array name.
-_TRACKED_TO_ARRAY = {
-    "locks_held": "lh",
-    "pb": "pb",
-    "pd": "pd",
-    "r_lw": "r_lw",
-    "pra": "pra",
-    "abort_prob": "pa",
-    "r_tms": "r_tms",
-}
+_TRACKED_TO_ARRAY = {name: _WARM_ARRAY[name] for name in TRACKED_FIELDS}
 
 #: MVA row kind -> engine demand-array attribute.
 _ROW_SOURCE = {
@@ -401,7 +391,7 @@ class _BatchEngine:
     def __init__(self, models):
         self.models = models
         head = models[0]
-        self.keys = list(head._state)            # [(site, ChainType)] * M
+        self.keys = _chain_keys(head.workload)   # [(site, ChainType)] * M
         self.site_names = list(head.workload.sites)
         self.B = len(models)
         self.M = len(self.keys)
@@ -448,7 +438,6 @@ class _BatchEngine:
         ]
 
         # Per-(b, m) structural scalars and cost bases.
-        self.pop_f = np.zeros((B, M))
         self.pop_i = np.zeros((B, M), dtype=np.int64)
         self.locks = np.zeros((B, M))
         self.qv = np.zeros((B, M))
@@ -468,8 +457,6 @@ class _BatchEngine:
         self.override = np.zeros(B)
         self.has_ov = np.zeros(B, dtype=bool)
 
-        from repro.model.phases import NO_CONFLICT, transition_matrix
-
         for b, model in enumerate(self.models):
             wl = model.workload
             cfg = model.config
@@ -483,15 +470,18 @@ class _BatchEngine:
                 self.override[b] = cfg.blocking_ratio_override
                 self.has_ov[b] = True
             recs: list[int] = []
-            for m, ((site_name, chain), st) in enumerate(
-                    model._state.items()):
+            pops = {name: wl.chain_populations(name)
+                    for name in self.site_names}
+            for m, (site_name, chain) in enumerate(self.keys):
                 site = model.sites[site_name]
-                self.pop_f[b, m] = float(st.population)
-                self.pop_i[b, m] = st.population
-                self.locks[b, m] = st.locks
-                self.qv[b, m] = st.q
-                self.lreq[b, m] = float(st.local_requests)
-                self.rreq[b, m] = float(st.remote_requests)
+                q = demands_mod.ios_per_request(site, wl, chain)
+                local = wl.local_requests(chain)
+                remote = wl.remote_requests(chain)
+                self.pop_i[b, m] = pops[site_name][chain]
+                self.locks[b, m] = demands_mod.lock_count(wl, chain, q)
+                self.qv[b, m] = q
+                self.lreq[b, m] = float(local)
+                self.rreq[b, m] = float(remote)
                 self.gran[b, m] = locking.effective_granules(wl, site)
                 records = wl.requests_per_txn * wl.records_per_request
                 if chain.is_slave:
@@ -503,51 +493,58 @@ class _BatchEngine:
                     + self.costs.db_base[b, m, _PI[Phase.TCIO]]
                     + self.costs.lg_base[b, m, _PI[Phase.TCIO]])
                 self.p0[b, m] = transition_matrix(
-                    chain, st.local_requests, st.remote_requests, st.q,
-                    NO_CONFLICT)
+                    chain, local, remote, q, NO_CONFLICT)
             self.records_int.append(recs)
+        self.pop_f = self.pop_i.astype(np.float64)
         self.rreq_safe = np.where(self.rreq > 0.0, self.rreq, 1.0)
         self.locks_safe = np.where(self.locks > 0.0, self.locks, 1.0)
         self.br = (2.0 * self.locks + 1.0) / (6.0 * self.locks_safe)
         self.omd = 1.0 - self.damp
 
     def _init_iterates(self) -> None:
+        """Zero iterates (one submission per commit), overwritten by
+        the fields each model's warm-start snapshot carries.
+
+        The response seeds (``resp_s``, ``act_s``, ``cycle``, ``bf``)
+        are never read before the first :meth:`_absorb` overwrites
+        them; only the throughput seed feeds the first residual.
+        """
         B, M = self.B, self.M
-        self.it = {name: np.zeros((B, M)) for name in _ITERATES}
+        self.it = {name: np.zeros((B, M)) for name in _WARM_ARRAY.values()}
+        self.it["ns"][:] = 1.0
         for b, model in enumerate(self.models):
-            for m, st in enumerate(model._state.values()):
-                for name, attr in _ITERATES.items():
-                    self.it[name][b, m] = getattr(st, attr)
+            warm = model._warm_start
+            if not warm:
+                continue
+            for m, (site, chain) in enumerate(self.keys):
+                seed = warm.get((site, chain.value))
+                if not seed:
+                    continue
+                for name, arr in _WARM_ARRAY.items():
+                    if name in seed:
+                        self.it[arr][b, m] = float(seed[name])
+        self.it["ey"], self.it["sigma"] = abort_state(
+            self.locks, self.it["pb"] * self.it["pd"])
         # Rebuilt-demand arrays (persist the last rebuild per element,
         # frozen once an element converges).
-        for name in ("V",):
-            setattr(self, name, np.zeros((B, M, _NPHASE)))
-        for name in ("cpu_ms", "db_ms", "lg_ms", "dbio", "lgio",
-                     "lwv", "rwv", "cwv", "lw_d", "rw_d", "cw_d",
-                     "ut_d", "tmm", "tmh", "tms_d", "ns_reb", "ey_reb",
+        for name in ("cpu_ms", "db_ms", "lg_ms", "dbio", "lgio", "lw_d",
+                     "rw_d", "cw_d", "ut_d", "tmm", "tmh", "tms_d",
                      "sol_x"):
             setattr(self, name, np.zeros((B, M)))
 
     def _init_mva_groups(self) -> None:
         budget_key = {}
-        from repro.model.solver import _EXACT_LATTICE_BUDGET
         groups: dict[tuple, _MvaGroup] = {}
-        self.pair_site: dict[tuple[int, int], str] = {}
         for b, model in enumerate(self.models):
             for s, site_name in enumerate(self.site_names):
                 members = self.site_members[s]
                 order = sorted(members,
                                key=lambda m: self.chain_of[m].value)
                 chains = tuple(self.chain_of[m].value for m in order)
-                kind_list = ["cpu", "disk"]
-                if model.sites[site_name].log_on_separate_disk:
-                    kind_list.insert(2, "logdisk")
-                kind_list += ["lw", "rw", "cw", "ut"]
-                if self.tm_flag:
-                    kind_list.append("tms")
-                kinds = tuple(kind_list)
-                delay = tuple(k in ("lw", "rw", "cw", "ut", "tms")
-                              for k in kinds)
+                kinds = site_centers(
+                    model.sites[site_name].log_on_separate_disk,
+                    self.tm_flag)
+                delay = tuple(k not in QUEUEING_CENTERS for k in kinds)
                 pops = tuple(int(self.pop_i[b, m]) for m in order)
                 lattice = 1
                 for p in pops:
@@ -566,7 +563,6 @@ class _BatchEngine:
                         exact, np.array(pops, dtype=np.int64))
                     group.lattice = lattice if chains else 1
                 group.pairs.append((b, s))
-                self.pair_site[(b, s)] = site_name
                 budget_key[(b, s)] = (group, order)
         self.pair_meta = budget_key
         self.groups = list(groups.values())
@@ -612,16 +608,10 @@ class _BatchEngine:
         lwv = ns * v[:, :, _PI[Phase.LW]]
         rwv = ns * v[:, :, _PI[Phase.RW]]
         cwv = ns * (v[:, :, iCWC] + v[:, :, iCWA])
-        self.lwv[al] = lwv
-        self.rwv[al] = rwv
-        self.cwv[al] = cwv
         self.lw_d[al] = lwv * self.it["r_lw"][al]
         self.rw_d[al] = rwv * self.it["r_rw"][al]
         self.cw_d[al] = cwv * self.it["r_cw"][al]
         self.ut_d[al] = ns * self.think[al]
-        self.ns_reb[al] = ns
-        self.ey_reb[al] = ey
-        self.V[al] = v
         if self.tm_flag:
             iTC, iTA, iTCIO = _PI[Phase.TC], _PI[Phase.TA], _PI[Phase.TCIO]
             cb = self.costs.cpu_base[al]
@@ -637,6 +627,14 @@ class _BatchEngine:
             self.tmh[al] = ns * (held_cpu + held_force)
             self.tms_d[al] = tmm * self.it["r_tms"][al]
 
+    def _queue_seed(self, pair: tuple[int, int]) -> dict[str, float] | None:
+        """The Schweitzer queues a warm-start snapshot holds for the
+        ``(model, site)`` *pair*, if any."""
+        warm = self.models[pair[0]]._warm_start
+        if not warm:
+            return None
+        return warm.get((_MVA_QUEUE_SITE, self.site_names[pair[1]]))
+
     def _group_q0(self, group: _MvaGroup, sel: list[int],
                   stack: np.ndarray,
                   pops: np.ndarray) -> np.ndarray | None:
@@ -646,29 +644,16 @@ class _BatchEngine:
         ``pops`` its ``(G, K)`` populations; the result (when any row
         has a seed) follows the kernels' ``(G, Cq, K)`` q0 contract.
         """
-        need = False
-        for i in sel:
-            pair = group.pairs[i]
-            if pair in self.last_q:
-                need = True
-                break
-            model = self.models[pair[0]]
-            if model._queue_seeds.get(self.pair_site[pair]):
-                need = True
-                break
-        if not need:
+        pairs = [group.pairs[i] for i in sel]
+        if not any(p in self.last_q or self._queue_seed(p) for p in pairs):
             return None
         q0 = initial_queue(stack, group.delay, pops)
-        for row, i in enumerate(sel):
-            pair = group.pairs[i]
+        for row, pair in enumerate(pairs):
             prev = self.last_q.get(pair)
             if prev is not None:
                 q0[row] = prev
                 continue
-            seed = self.models[pair[0]]._queue_seeds.get(
-                self.pair_site[pair])
-            if not seed:
-                continue
+            seed = self._queue_seed(pair) or {}
             for ci, center in enumerate(group.qnames):
                 for ki, chain in enumerate(group.chains):
                     value = seed.get(f"{center}|{chain}")
@@ -711,7 +696,7 @@ class _BatchEngine:
                     q0=self._group_q0(group, sel, stack, pops))
                 if not result.converged.all():
                     bad = int(np.argmax(~result.converged))
-                    site = self.pair_site[group.pairs[sel[bad]]]
+                    site = self.site_names[group.pairs[sel[bad]][1]]
                     raise ConvergenceError(
                         f"Schweitzer MVA did not converge for site "
                         f"{site!r}",
@@ -1063,70 +1048,104 @@ class _BatchEngine:
     def _write_back(self, iters, resid) -> list[ModelSolution]:
         results: list[ModelSolution] = []
         for b, model in enumerate(self.models):
-            wl = model.workload
-            for m, ((site_name, chain), st) in enumerate(
-                    model._state.items()):
-                for name, attr in _ITERATES.items():
-                    setattr(st, attr, float(self.it[name][b, m]))
-                st.visits = {phase: float(self.V[b, m, _PI[phase]])
-                             for phase in PHASE_ORDER}
-                st.costs = demands_mod.build_phase_costs(
-                    model.sites[site_name], wl, chain,
-                    aborted_granules=float(self.ey_reb[b, m]))
-                st.demands = demands_mod.ChainDemands(
-                    chain=chain,
-                    n_submissions=float(self.ns_reb[b, m]),
-                    cpu_ms=float(self.cpu_ms[b, m]),
-                    db_disk_ms=float(self.db_ms[b, m]),
-                    log_disk_ms=float(self.lg_ms[b, m]),
-                    db_ios=float(self.dbio[b, m]),
-                    log_ios=float(self.lgio[b, m]),
-                    lw_visits=float(self.lwv[b, m]),
-                    rw_visits=float(self.rwv[b, m]),
-                    cw_visits=float(self.cwv[b, m]),
-                    records_per_cycle=self.records_int[b][m],
-                )
-                st.lw_demand_ms = float(self.lw_d[b, m])
-                st.rw_demand_ms = float(self.rw_d[b, m])
-                st.cw_demand_ms = float(self.cw_d[b, m])
-                st.ut_demand_ms = float(self.ut_d[b, m])
-                if self.tm_flag:
-                    st.tm_messages = float(self.tmm[b, m])
-                    st.tm_held_ms = float(self.tmh[b, m])
-            solutions = {}
-            for s, site_name in enumerate(self.site_names):
-                pair = (b, s)
-                group, order = self.pair_meta[pair]
-                demands = np.empty((len(group.kinds), len(order)))
-                for ci, kind in enumerate(group.kinds):
-                    source = getattr(self, _ROW_SOURCE[kind])
-                    for ki, m in enumerate(order):
-                        demands[ci, ki] = source[b, m]
-                arrays = NetworkArrays(
-                    demands=demands,
-                    delay=group.delay,
-                    populations=np.array(
-                        [self.pop_i[b, m] for m in order],
-                        dtype=np.int64),
-                    centers=group.kinds,
-                    chains=group.chains,
-                )
-                solutions[site_name] = assemble_solution(
-                    arrays, self.last_x[pair], self.last_r[pair])
-                if not group.exact:
-                    model._mva_queues[site_name] = (
-                        group.qnames, group.chains, self.last_q[pair])
-            results.append(model._build_solution(
-                solutions, int(iters[b]), float(resid[b])))
+            rows = self._rows(b)
+            networks = self._site_networks(b, rows)
+            solutions = {
+                name: assemble_solution(
+                    NetworkArrays.from_network(networks[name]),
+                    self.last_x[(b, s)], self.last_r[(b, s)])
+                for s, name in enumerate(self.site_names)
+            }
+            model._last = (networks, self._snapshot(b))
+            results.append(build_solution(
+                model.config, rows, networks, solutions, int(iters[b]),
+                float(resid[b]), model._diag))
         return results
+
+    def _rows(self, b: int) -> list[ChainRow]:
+        """Batch element *b*'s iterate as per-chain rows."""
+        it = {name: arr[b].tolist() for name, arr in self.it.items()}
+        demand = {kind: getattr(self, source)[b].tolist()
+                  for kind, source in _ROW_SOURCE.items()}
+        dbio, lgio = self.dbio[b].tolist(), self.lgio[b].tolist()
+        pops, locks = self.pop_i[b].tolist(), self.locks[b].tolist()
+        return [
+            ChainRow(
+                site=site, chain=chain, population=pops[m],
+                demands={kind: col[m] for kind, col in demand.items()},
+                ios_per_cycle=dbio[m] + lgio[m],
+                records_per_txn=self.records_int[b][m],
+                throughput_per_ms=it["xput"][m],
+                cycle_response_ms=it["cycle"][m],
+                n_submissions=it["ns"][m],
+                abort_probability=it["pa"][m],
+                locks=locks[m], pb=it["pb"][m], pd=it["pd"][m],
+                locks_held=it["lh"][m], locks_at_abort=it["ey"][m],
+                r_lw=it["r_lw"][m], r_rw=it["r_rw"][m],
+                r_cw=it["r_cw"][m],
+            )
+            for m, (site, chain) in enumerate(self.keys)
+        ]
+
+    def _site_networks(self, b: int, rows: list[ChainRow]
+                       ) -> dict[str, ClosedNetwork]:
+        """Batch element *b*'s site networks, as its MVA step saw them."""
+        return {
+            name: build_site_network(
+                [rows[m] for m in self.site_members[s]],
+                self.pair_meta[(b, s)][0].kinds)
+            for s, name in enumerate(self.site_names)
+        }
+
+    def _snapshot(self, b: int) -> WarmStart:
+        """Batch element *b*'s warm-start snapshot (chain iterates,
+        then the Schweitzer queues of its approximately solved
+        sites)."""
+        snap: WarmStart = {
+            (site, chain.value): {
+                name: float(self.it[arr][b, m])
+                for name, arr in _WARM_ARRAY.items()}
+            for m, (site, chain) in enumerate(self.keys)
+        }
+        for s, site in enumerate(self.site_names):
+            queue = self.last_q.get((b, s))
+            if queue is None:
+                continue
+            group = self.pair_meta[(b, s)][0]
+            snap[(_MVA_QUEUE_SITE, site)] = {
+                f"{center}|{chain}": float(queue[ci, ki])
+                for ci, center in enumerate(group.qnames)
+                for ki, chain in enumerate(group.chains)
+            }
+        return snap
+
+
+def _chain_keys(workload: WorkloadSpec) -> list[tuple[str, ChainType]]:
+    """The ``(site, chain)`` states with customers, in state order."""
+    return [(site, chain) for site in workload.sites
+            for chain, population in workload.chain_populations(site).items()
+            if population > 0]
 
 
 def _batch_key(model) -> tuple:
     return (
-        tuple((site, chain.value) for site, chain in model._state),
+        tuple((site, chain.value)
+              for site, chain in _chain_keys(model.workload)),
         model.workload.sites,
         model.config.model_tm_serialization,
     )
+
+
+def seed_state(model) -> tuple[dict[str, ClosedNetwork], WarmStart]:
+    """The site networks and snapshot of *model*'s seeded iterate.
+
+    One demand rebuild of a one-row batch, no MVA solve: for a cold
+    model the networks are the zero-conflict ones (no lock, remote or
+    commit waits), for a warm-started one they carry the seeded waits.
+    """
+    engine = _BatchEngine([model])
+    engine._rebuild(np.zeros(1, dtype=np.int64))
+    return engine._site_networks(0, engine._rows(0)), engine._snapshot(0)
 
 
 def solve_outer_batch(models: Sequence) -> list[ModelSolution]:
@@ -1139,7 +1158,8 @@ def solve_outer_batch(models: Sequence) -> list[ModelSolution]:
     budgets, warm starts, MVA mode — may vary per element.  Solutions
     come back in input order, and each model is left exactly as its own
     :meth:`~repro.model.solver.CaratModel.solve` would leave it
-    (iterate state, ``snapshot()`` contents, attached diagnostics).
+    (``snapshot()`` and ``site_network()`` contents, attached
+    diagnostics).
 
     Raises :class:`~repro.errors.ConvergenceError` for the first
     non-converged element whose config demands it — after every

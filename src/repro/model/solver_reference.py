@@ -9,27 +9,38 @@ oracle the equivalence suite pins the production path against
 (identical iteration counts, measures within 1e-9) and as the scalar
 baseline the ``BENCH_outer`` speedup gate times.
 
-This module owns the scalar algorithm: the site-network solve and the
-lock, abort, remote-wait and TM-serialization updates live here only.
-From :class:`~repro.model.solver.CaratModel` the oracle inherits what
-the tensor engine also starts from — configuration, iterate state,
-warm start, the demand rebuild and solution building.
+This module owns the scalar algorithm and its state: the per-(site,
+chain) iterate (:class:`_ChainState`), the warm start, the scalar
+demand rebuild (visit counts, phase costs, aggregate demands), the
+site-network solve and the lock, abort, remote-wait and
+TM-serialization updates live here only.  The site networks and the
+:class:`~repro.model.results.ModelSolution` come from the builders the
+engine uses too (:func:`~repro.model.solver.build_site_network`,
+:func:`~repro.model.solver.build_solution`).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from repro.errors import ConvergenceError
+from repro.errors import ConfigurationError, ConvergenceError
 from repro.model import demands as demands_mod
 from repro.model import locking, remote
+from repro.model.phases import (ConflictProbabilities, transition_matrix,
+                                visit_counts)
 from repro.model.results import ModelSolution
 from repro.model.solver import (
     _EXACT_LATTICE_BUDGET,
-    CaratModel,
+    _MVA_QUEUE_SITE,
+    _WARM_FIELDS,
+    ChainRow,
     ModelConfig,
     WarmStart,
-    _built,
+    build_site_network,
+    build_solution,
+    site_centers,
 )
 from repro.model.types import ChainType, Phase
 from repro.queueing.kernels import (
@@ -39,20 +50,84 @@ from repro.queueing.kernels import (
     solve_exact_batch,
     solve_schweitzer_batch,
 )
-from repro.queueing.network import NetworkSolution
+from repro.queueing.network import ClosedNetwork, NetworkSolution
 
 __all__ = ["ReferenceCaratModel"]
 
 
-class ReferenceCaratModel(CaratModel):
-    """``CaratModel`` solved by the original scalar fixed-point loop.
+@dataclass
+class _ChainState:
+    """Mutable per-(site, chain) iterate."""
 
-    Takes a config and an optional warm-start snapshot; the oracle
-    records no convergence trace.
+    population: int
+    local_requests: int
+    remote_requests: int
+    q: float
+    locks: float
+    # Conflict estimates.
+    pb: float = 0.0
+    pd: float = 0.0
+    pra: float = 0.0
+    abort_prob: float = 0.0
+    n_submissions: float = 1.0
+    locks_at_abort: float = 0.0
+    sigma: float = 0.5
+    locks_held: float = 0.0
+    blocked_fraction: float = 0.0
+    # Delay-center per-visit times (ms).
+    r_lw: float = 0.0
+    r_rw: float = 0.0
+    r_cw: float = 0.0
+    # TM serialization surrogate (optional, §5.5).
+    r_tms: float = 0.0
+    tm_messages: float = 0.0
+    tm_held_ms: float = 0.0
+    # Performance iterates (ms / per-ms).
+    response_success_ms: float = 0.0
+    active_success_ms: float = 0.0
+    cycle_response_ms: float = 0.0
+    throughput_per_ms: float = 0.0
+    # Last-built demands.
+    demands: demands_mod.ChainDemands | None = None
+    visits: dict[Phase, float] = field(default_factory=dict)
+    costs: demands_mod.PhaseCosts | None = None
+    lw_demand_ms: float = 0.0
+    rw_demand_ms: float = 0.0
+    cw_demand_ms: float = 0.0
+    ut_demand_ms: float = 0.0
+
+
+def _built(demands: demands_mod.ChainDemands | None) \
+        -> demands_mod.ChainDemands:
+    """Narrow a state's ``demands`` after the rebuild phase has run.
+
+    Every read site follows a ``_rebuild_demands`` call, so ``None``
+    here is a solver-internal ordering bug, not a user error.
+    """
+    if demands is None:
+        raise ConfigurationError("chain demands read before rebuild")
+    return demands
+
+
+class ReferenceCaratModel:
+    """The CARAT model solved by the original scalar fixed-point loop.
+
+    Takes a config and an optional warm-start snapshot (see
+    :meth:`repro.model.solver.CaratModel.snapshot`); the oracle
+    records no convergence trace.  It owns its scalar iterate state,
+    one :class:`_ChainState` per ``(site, chain)`` with customers.
     """
 
     def __init__(self, config: ModelConfig, warm_start: WarmStart | None = None):
-        super().__init__(config, warm_start=warm_start)
+        self.config = config
+        self.workload = config.workload
+        self.sites = {name: config.sites[name] for name in self.workload.sites}
+        self._state: dict[tuple[str, ChainType], _ChainState] = {}
+        self._warm_start = warm_start
+        # Last ``(Cq, K)`` Schweitzer queue iterate per site, carried
+        # across outer iterations as the inner fixed point's warm start.
+        self._mva_queues: dict[str, np.ndarray] = {}
+        self._init_state()
 
     def solve(self) -> ModelSolution:
         """Run the fixed-point iteration to convergence."""
@@ -84,151 +159,212 @@ class ReferenceCaratModel(CaratModel):
                     iterations=iterations,
                     residual=residual,
                 )
-        return self._build_solution(solutions, iterations, residual)
+        rows = self._rows()
+        networks = {name: self._site_network(name, rows)
+                    for name in self.workload.sites}
+        return build_solution(self.config, rows, networks, solutions,
+                              iterations, residual)
+
+    # ------------------------------------------------------------------
+    # setup
+    # ------------------------------------------------------------------
+
+    def _init_state(self) -> None:
+        for site_name, site in self.sites.items():
+            for chain, population in self.workload.chain_populations(
+                    site_name).items():
+                if population == 0:
+                    continue
+                q = demands_mod.ios_per_request(site, self.workload, chain)
+                state = _ChainState(
+                    population=population,
+                    local_requests=self.workload.local_requests(chain),
+                    remote_requests=self.workload.remote_requests(chain),
+                    q=q, locks=demands_mod.lock_count(self.workload, chain, q),
+                )
+                self._refresh_abort_state(state)
+                self._state[(site_name, chain)] = state
+        if not self._warm_start:
+            return
+        for key, state in self._state.items():
+            seed = self._warm_start.get((key[0], key[1].value))
+            if not seed:
+                continue
+            for name in _WARM_FIELDS:
+                if name in seed:
+                    setattr(state, name, float(seed[name]))
+            # E[Y] and sigma depend on the *new* lock count; derive
+            # them from the seeded conflict estimates.
+            self._refresh_abort_state(state)
+
+    def _refresh_abort_state(self, state: _ChainState) -> None:
+        """E[Y] and sigma from the current ``Pb * Pd``.
+
+        A chain that acquires no locks is degenerate but valid: it can
+        never be a deadlock victim, so both quantities are zero (the
+        unguarded ratio ``E[Y] / N_lk`` would divide by zero).
+        """
+        if state.locks <= 0.0:
+            state.locks_at_abort = 0.0
+            state.sigma = 0.0
+            return
+        per_lock = min(1.0, state.pb * state.pd)
+        state.locks_at_abort = locking.locks_at_abort(state.locks, per_lock)
+        state.sigma = state.locks_at_abort / state.locks
+
+    def _chain_items(self, site_name: str):
+        for (s, chain), state in self._state.items():
+            if s == site_name:
+                yield chain, state
+
+    # ------------------------------------------------------------------
+    # step 1: demands and site networks
+    # ------------------------------------------------------------------
+
+    def _rebuild_demands(self, site_name: str, chain: ChainType,
+                         state: _ChainState) -> None:
+        """Steps 1–2 of the iteration: visits, costs, demands."""
+        site = self.sites[site_name]
+        conflict = ConflictProbabilities(
+            blocking=min(1.0, state.pb),
+            deadlock_victim=min(1.0, state.pd),
+            remote_abort=min(1.0, state.pra),
+        )
+        matrix = transition_matrix(
+            chain, state.local_requests, state.remote_requests, state.q,
+            conflict,
+        )
+        state.visits = visit_counts(matrix)
+        state.costs = demands_mod.build_phase_costs(
+            site, self.workload, chain,
+            aborted_granules=state.locks_at_abort,
+        )
+        records = (self.workload.requests_per_txn
+                   * self.workload.records_per_request)
+        if chain.is_slave:
+            records = self.workload.records_per_txn(chain)
+        state.demands = demands_mod.aggregate_demands(
+            chain, state.visits, state.n_submissions, state.costs,
+            records_per_execution=records,
+        )
+        d = state.demands
+        state.lw_demand_ms = d.lw_visits * state.r_lw
+        state.rw_demand_ms = d.rw_visits * state.r_rw
+        state.cw_demand_ms = d.cw_visits * state.r_cw
+        state.ut_demand_ms = (state.n_submissions
+                              * self.workload.think_time_ms)
+        if self.config.model_tm_serialization:
+            ns = state.n_submissions
+            v = state.visits
+            costs = state.costs
+            state.tm_messages = ns * (v[Phase.TM] + v[Phase.TC]
+                                      + v[Phase.TA])
+            held_cpu = (v[Phase.TM] * costs.cpu.get(Phase.TM, 0.0)
+                        + v[Phase.TC] * costs.cpu.get(Phase.TC, 0.0)
+                        + v[Phase.TA] * costs.cpu.get(Phase.TA, 0.0))
+            held_force = v[Phase.TCIO] * (
+                costs.db_disk.get(Phase.TCIO, 0.0)
+                + costs.log_disk.get(Phase.TCIO, 0.0))
+            state.tm_held_ms = ns * (held_cpu + held_force)
+
+    def _rows(self) -> list[ChainRow]:
+        """The iterate as per-chain rows, in state order."""
+        rows = []
+        for (site, chain), st in self._state.items():
+            d = _built(st.demands)
+            rows.append(ChainRow(
+                site=site, chain=chain, population=st.population,
+                demands={"cpu": d.cpu_ms, "disk": d.db_disk_ms,
+                         "logdisk": d.log_disk_ms, "lw": st.lw_demand_ms,
+                         "rw": st.rw_demand_ms, "cw": st.cw_demand_ms,
+                         "ut": st.ut_demand_ms,
+                         "tms": st.tm_messages * st.r_tms},
+                ios_per_cycle=d.total_ios,
+                records_per_txn=d.records_per_cycle,
+                throughput_per_ms=st.throughput_per_ms,
+                cycle_response_ms=st.cycle_response_ms,
+                n_submissions=st.n_submissions,
+                abort_probability=st.abort_prob,
+                locks=st.locks, pb=st.pb, pd=st.pd,
+                locks_held=st.locks_held,
+                locks_at_abort=st.locks_at_abort,
+                r_lw=st.r_lw, r_rw=st.r_rw, r_cw=st.r_cw,
+            ))
+        return rows
+
+    def _site_network(self, site_name: str,
+                      rows: list[ChainRow]) -> ClosedNetwork:
+        """Assemble the site's closed network (paper Figure 2)."""
+        return build_site_network(
+            [row for row in rows if row.site == site_name],
+            site_centers(self.sites[site_name].log_on_separate_disk,
+                         self.config.model_tm_serialization))
 
     # ------------------------------------------------------------------
     # step 2: site MVA
     # ------------------------------------------------------------------
 
-    def _site_arrays(self, site_name: str) -> NetworkArrays:
-        """Dense array form of :meth:`_site_network`.
-
-        Same center order and same (sorted) active chains, built
-        straight from the iterate state without the intermediate
-        :class:`ClosedNetwork` dict structure.
-        """
-        site = self.sites[site_name]
-        items = sorted(
-            (
-                (chain.value, state)
-                for (s, chain), state in self._state.items()
-                if s == site_name
-            ),
-            key=lambda item: item[0],
-        )
-        chains = tuple(name for name, _ in items)
-        populations = np.array([state.population for _, state in items], dtype=np.int64)
-        rows: list[tuple[str, bool, list[float]]] = [
-            ("cpu", False, [_built(st.demands).cpu_ms for _, st in items]),
-            ("disk", False, [_built(st.demands).db_disk_ms for _, st in items]),
-            ("lw", True, [st.lw_demand_ms for _, st in items]),
-            ("rw", True, [st.rw_demand_ms for _, st in items]),
-            ("cw", True, [st.cw_demand_ms for _, st in items]),
-            ("ut", True, [st.ut_demand_ms for _, st in items]),
-        ]
-        if site.log_on_separate_disk:
-            rows.insert(
-                2,
-                ("logdisk", False, [_built(st.demands).log_disk_ms for _, st in items]),
-            )
-        if self.config.model_tm_serialization:
-            rows.append(("tms", True, [st.tm_messages * st.r_tms for _, st in items]))
-        demands = np.array(
-            [r[2] for r in rows],
-            dtype=np.float64,
-        ).reshape(len(rows), len(chains))
-        return NetworkArrays(
-            demands=demands,
-            delay=np.array([r[1] for r in rows], dtype=bool),
-            populations=populations,
-            centers=tuple(r[0] for r in rows),
-            chains=chains,
-        )
-
     def _solve_sites(self) -> dict[str, NetworkSolution]:
-        """Step 2 of the iteration, batched: solve every site network.
+        """Step 2 of the iteration: solve every site network with MVA.
 
-        Sites sharing a center/chain layout (and, for exact MVA, a
-        population vector — symmetric sites always do) are stacked and
-        solved in one vectorized kernel call instead of one Python-loop
-        solve per site.  Schweitzer solves warm-start from the previous
-        outer iteration's queue iterate (or a warm-start snapshot's),
-        which typically cuts the inner iteration count: the outer loop
-        moves the demands only slightly between iterations, so the old
-        inner fixed point is a near-solution of the new one.
+        Schweitzer solves warm-start from the previous outer
+        iteration's queue iterate (or a warm-start snapshot's), which
+        typically cuts the inner iteration count: the outer loop moves
+        the demands only slightly between iterations, so the old inner
+        fixed point is a near-solution of the new one.
         """
-        arrays = {name: self._site_arrays(name) for name in self.workload.sites}
-        exact_groups: dict[tuple, list[str]] = {}
-        approx_groups: dict[tuple, list[str]] = {}
-        for name, a in arrays.items():
+        rows = self._rows()
+        solutions: dict[str, NetworkSolution] = {}
+        for name in self.workload.sites:
+            a = NetworkArrays.from_network(self._site_network(name, rows))
             mode = self.config.mva
             if mode == "auto":
                 mode = "exact" if a.lattice_size <= _EXACT_LATTICE_BUDGET else "approx"
             if mode == "exact":
-                key = (a.centers, a.chains, tuple(a.delay), tuple(a.populations))
-                exact_groups.setdefault(key, []).append(name)
-            else:
-                key = (a.centers, a.chains, tuple(a.delay))
-                approx_groups.setdefault(key, []).append(name)
-
-        solutions: dict[str, NetworkSolution] = {}
-        for names in exact_groups.values():
-            head = arrays[names[0]]
-            stack = np.stack([arrays[n].demands for n in names])
-            X, R = solve_exact_batch(stack, head.delay, head.populations)
-            for i, n in enumerate(names):
-                solutions[n] = assemble_solution(arrays[n], X[i], R[i])
-        for names in approx_groups.values():
-            head = arrays[names[0]]
-            stack = np.stack([arrays[n].demands for n in names])
-            pops = np.stack([arrays[n].populations for n in names])
+                X, R = solve_exact_batch(a.demands[None], a.delay, a.populations)
+                solutions[name] = assemble_solution(a, X[0], R[0])
+                continue
             result = solve_schweitzer_batch(
-                stack,
-                head.delay,
-                pops,
-                q0=self._queue_warm_start(names, arrays, stack, head, pops),
+                a.demands[None], a.delay, a.populations[None],
+                q0=self._queue_warm_start(name, a),
             )
-            if not result.converged.all():
-                bad = int(np.argmax(~result.converged))
+            if not result.converged[0]:
                 raise ConvergenceError(
-                    f"Schweitzer MVA did not converge for site {names[bad]!r}",
-                    iterations=int(result.iterations[bad]),
-                    residual=float(result.residual[bad]),
+                    f"Schweitzer MVA did not converge for site {name!r}",
+                    iterations=int(result.iterations[0]),
+                    residual=float(result.residual[0]),
                 )
-            qnames = tuple(
-                c for c, is_delay in zip(head.centers, head.delay) if not is_delay
-            )
-            for i, n in enumerate(names):
-                solutions[n] = assemble_solution(
-                    arrays[n], result.throughput[i], result.residence[i]
-                )
-                self._mva_queues[n] = (qnames, arrays[n].chains, result.queue[i])
+            solutions[name] = assemble_solution(
+                a, result.throughput[0], result.residence[0])
+            self._mva_queues[name] = result.queue[0]
         return solutions
 
-    def _queue_warm_start(self, names, arrays, stack, head, pops):
-        """The ``q0`` stack for one Schweitzer group, or None.
+    def _queue_warm_start(self, name: str,
+                          a: NetworkArrays) -> np.ndarray | None:
+        """The ``(1, Cq, K)`` Schweitzer ``q0`` of one site, or None.
 
         Prefers this solve's previous outer-iteration queue iterate;
-        falls back to a warm-start snapshot's entries; missing sites
-        (or entries whose layout changed) keep the kernel's default
-        initialization.  Entries are masked to visited (demand > 0)
-        center/chain pairs, so a stale seed can never park customers
-        at a center the chain no longer uses.
+        falls back to a warm-start snapshot's entries; without either
+        the kernel's default initialization applies.  Entries are
+        masked to visited (demand > 0) center/chain pairs, so a stale
+        seed can never park customers at a center the chain no longer
+        uses.
         """
-        if not self._mva_queues and not self._queue_seeds:
+        prev = self._mva_queues.get(name)
+        seed = (self._warm_start or {}).get((_MVA_QUEUE_SITE, name))
+        if prev is None and not seed:
             return None
-        qnames = tuple(
-            c for c, is_delay in zip(head.centers, head.delay) if not is_delay
-        )
-        q0 = initial_queue(stack, head.delay, pops)
-        for i, name in enumerate(names):
-            prev = self._mva_queues.get(name)
-            if (
-                prev is not None
-                and prev[0] == qnames
-                and prev[1] == arrays[name].chains
-            ):
-                q0[i] = prev[2]
-                continue
-            seed = self._queue_seeds.get(name)
-            if not seed:
-                continue
+        q0 = initial_queue(a.demands, a.delay, a.populations)
+        if prev is not None:
+            q0[0] = prev
+        elif seed:
+            qnames = [c for c, is_delay in zip(a.centers, a.delay) if not is_delay]
             for ci, center in enumerate(qnames):
-                for ki, chain in enumerate(arrays[name].chains):
+                for ki, chain in enumerate(a.chains):
                     value = seed.get(f"{center}|{chain}")
                     if value is not None:
-                        q0[i, ci, ki] = value
-        q0[stack[:, ~head.delay, :] <= 0.0] = 0.0
+                        q0[0, ci, ki] = value
+        q0[0][a.demands[~a.delay] <= 0.0] = 0.0
         return q0
 
     # ------------------------------------------------------------------

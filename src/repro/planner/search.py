@@ -50,7 +50,7 @@ from repro.queueing.bounds import (aggregate_mix_network,
 from repro.queueing.kernels import NetworkArrays, solve_schweitzer_batch
 
 __all__ = ["mix_quantum", "scale_to_mpl", "mpl_grid", "PlanEvaluator",
-           "find_optimum", "brute_force_optimum", "prefetch_across",
+           "find_optimum", "brute_force_optimum", "prefetch_batch",
            "slo_max_mpl", "slo_max_arrival_per_s"]
 
 #: Throughput drop (relative to the peak) that counts as thrashing.
@@ -209,7 +209,9 @@ class PlanEvaluator:
         nearest = min(solved, key=lambda m: abs(m - mpl))
         return self._entries[nearest]["snapshot"]
 
-    def _entry(self, mpl: int) -> dict:
+    def _lookup(self, mpl: int) -> dict | tuple[WorkloadSpec, str | None]:
+        """The memoized or cached entry of *mpl*; on a miss, the scaled
+        workload and cache digest its solve needs."""
         entry = self._entries.get(mpl)
         if entry is not None:
             return entry
@@ -219,10 +221,20 @@ class PlanEvaluator:
             cached = self.cache.get(digest)
             if cached is not None:
                 return self._hit(mpl, cached)
-        model = CaratModel(
-            ModelConfig(workload=scaled, sites=self.sites,
-                        **self.model_kwargs),
-            warm_start=self._nearest_snapshot(mpl))
+        return scaled, digest
+
+    def _model(self, scaled: WorkloadSpec,
+               warm_start: WarmStart | None = None) -> CaratModel:
+        return CaratModel(ModelConfig(workload=scaled, sites=self.sites,
+                                      **self.model_kwargs),
+                          warm_start=warm_start)
+
+    def _entry(self, mpl: int) -> dict:
+        found = self._lookup(mpl)
+        if isinstance(found, dict):
+            return found
+        scaled, digest = found
+        model = self._model(scaled, self._nearest_snapshot(mpl))
         return self._finish_entry(mpl, scaled, digest, model,
                                   model.solve())
 
@@ -259,42 +271,9 @@ class PlanEvaluator:
         return entry
 
     def prefetch(self, mpls) -> None:
-        """Solve a set of grid MPLs as one batched tensor program.
-
-        Memoized and cached MPLs are skipped; the remaining points are
-        independent cold solves, so they run through
-        :func:`repro.model.outer.solve_outer_batch` in lockstep with
-        per-element convergence masking and land in the memo (and the
-        result cache) exactly as sequential evaluations would.  A
-        grid-sweeping caller (:func:`brute_force_optimum`,
-        ``repro plan --curve``) turns one solve per point into one
-        batched program per grid.
-        """
-        from repro.model.outer import solve_outer_batch
-
-        todo: list[tuple[int, WorkloadSpec, str | None]] = []
-        for mpl in sorted(set(mpls)):
-            if mpl in self._entries:
-                continue
-            scaled = scale_to_mpl(self.workload, mpl)
-            digest = self._digest(scaled) if self.use_cache else None
-            if digest is not None:
-                cached = self.cache.get(digest)
-                if cached is not None:
-                    self._hit(mpl, cached)
-                    continue
-            todo.append((mpl, scaled, digest))
-        if not todo:
-            return
-        models = [
-            CaratModel(ModelConfig(workload=scaled, sites=self.sites,
-                                   **self.model_kwargs))
-            for _, scaled, _ in todo
-        ]
-        solutions = solve_outer_batch(models)
-        for (mpl, scaled, digest), model, solution in zip(
-                todo, models, solutions):
-            self._finish_entry(mpl, scaled, digest, model, solution)
+        """Solve a set of grid MPLs as one batched tensor program
+        (:func:`prefetch_batch` over this evaluator's pairs)."""
+        prefetch_batch((self, mpl) for mpl in sorted(set(mpls)))
 
     @staticmethod
     def _window(model: CaratModel, site: str,
@@ -335,8 +314,7 @@ class PlanEvaluator:
         must be multiples of the evaluator's quantum.
         """
         scaled = scale_to_mpl(self.workload, self.quantum)
-        model = CaratModel(ModelConfig(workload=scaled, sites=self.sites,
-                                       **self.model_kwargs))
+        model = self._model(scaled)
         utilization = dict.fromkeys(grid, 0.0)
         factors = np.array([m // self.quantum for m in grid],
                            dtype=np.int64)
@@ -479,9 +457,7 @@ def _zero_conflict_floor(evaluator: PlanEvaluator,
                 return float(m)
     scaled = scale_to_mpl(evaluator.workload, evaluator.quantum)
     try:
-        model = CaratModel(ModelConfig(workload=scaled,
-                                       sites=evaluator.sites,
-                                       **evaluator.model_kwargs))
+        model = evaluator._model(scaled)
         floors = []
         for name in scaled.sites:
             network = model.site_network(name)
@@ -510,41 +486,32 @@ def brute_force_optimum(evaluator: PlanEvaluator,
     return _optimum_result(evaluator, grid, best)
 
 
-def prefetch_across(evaluators, mpl: int) -> None:
-    """Solve one MPL across several evaluators as one batched program.
+def prefetch_batch(pairs) -> None:
+    """Solve ``(evaluator, mpl)`` pairs as one batched tensor program.
 
-    The cross-evaluator analogue of :meth:`PlanEvaluator.prefetch`:
-    memo and cache hits are served first, then every remaining
-    evaluator contributes one cold model and the whole set runs
-    through :func:`repro.model.outer.solve_outer_batch` together.
-    The what-if engine uses this to evaluate all hardware candidates
-    (which share a workload but differ in site parameters) as a
-    single tensor program.
+    Memoized and cached pairs are served first; every remaining pair
+    is an independent cold solve, so they run through
+    :func:`repro.model.outer.solve_outer_batch` in lockstep with
+    per-element convergence masking and land in their evaluator's memo
+    (and the result cache) exactly as sequential evaluations would.
+    A grid scan (:meth:`PlanEvaluator.prefetch`,
+    :func:`brute_force_optimum`, ``repro plan --curve``) batches one
+    evaluator's MPLs; the what-if engine batches one MPL across the
+    evaluators of its hardware candidates.
     """
     from repro.model.outer import solve_outer_batch
 
     todo = []
-    for ev in evaluators:
-        if mpl in ev._entries:
-            continue
-        scaled = scale_to_mpl(ev.workload, mpl)
-        digest = ev._digest(scaled) if ev.use_cache else None
-        if digest is not None:
-            cached = ev.cache.get(digest)
-            if cached is not None:
-                ev._hit(mpl, cached)
-                continue
-        todo.append((ev, scaled, digest))
+    for ev, mpl in dict.fromkeys(pairs):
+        found = ev._lookup(mpl)
+        if not isinstance(found, dict):
+            scaled, digest = found
+            todo.append((ev, mpl, scaled, digest, ev._model(scaled)))
     if not todo:
         return
-    models = [
-        CaratModel(ModelConfig(workload=scaled, sites=ev.sites,
-                               **ev.model_kwargs))
-        for ev, scaled, _ in todo
-    ]
-    solutions = solve_outer_batch(models)
-    for (ev, scaled, digest), model, solution in zip(
-            todo, models, solutions):
+    solutions = solve_outer_batch([item[-1] for item in todo])
+    for (ev, mpl, scaled, digest, model), solution in zip(todo,
+                                                          solutions):
         ev._finish_entry(mpl, scaled, digest, model, solution)
 
 

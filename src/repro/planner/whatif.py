@@ -119,14 +119,14 @@ def _evaluate_batched(candidates: tuple[WhatIfCandidate, ...],
                       model_kwargs: dict,
                       use_cache: bool) -> list[dict]:
     """Evaluate every candidate in one batched outer fixed point."""
-    from repro.planner.search import prefetch_across
+    from repro.planner.search import prefetch_batch
 
     evaluators = [
         PlanEvaluator(workload, apply_candidate(sites, candidate),
                       model_kwargs=model_kwargs, use_cache=use_cache)
         for candidate in candidates
     ]
-    prefetch_across(evaluators, mpl)
+    prefetch_batch((evaluator, mpl) for evaluator in evaluators)
     results = []
     for candidate, evaluator in zip(candidates, evaluators):
         point = evaluator.point(mpl)
@@ -156,7 +156,7 @@ def run_whatif(candidates: tuple[WhatIfCandidate, ...],
 
     With ``jobs`` of ``None`` or ``1`` the candidates solve in-process
     as one batched tensor program
-    (:func:`repro.planner.search.prefetch_across`): they share the
+    (:func:`repro.planner.search.prefetch_batch`): they share the
     workload's chain structure, so the whole upgrade menu is a single
     outer fixed point with per-element convergence masking.  Larger
     ``jobs`` fans candidates out across worker processes instead.

@@ -42,6 +42,24 @@ class TestSolverBasics:
         with pytest.raises(ConfigurationError):
             ModelConfig(workload=mb8(8), sites=sites, mva="magic")
 
+    @pytest.mark.parametrize("option", [
+        {"alpha_ms": float("nan")},
+        {"alpha_ms": float("inf")},
+        {"alpha_ms": -50.0},
+        {"blocking_ratio_override": float("nan")},
+        {"blocking_ratio_override": float("inf")},
+        {"blocking_ratio_override": -0.1},
+        {"blocking_ratio_override": 5.0},
+    ], ids=lambda option: "-".join(f"{k}={v}" for k, v in option.items()))
+    def test_non_finite_or_out_of_range_option_rejected(self, sites,
+                                                         option):
+        # Unchecked, NaN solves "converge" to NaN waits and zero
+        # throughput, a negative delay fails deep in the network
+        # validator, and a ratio of 5 burns the whole iteration budget.
+        with pytest.raises(ConfigurationError):
+            ModelConfig(workload=mb8(8), sites=sites,
+                        raise_on_nonconvergence=False, **option)
+
 
 class TestStructuralProperties:
     def test_read_transactions_faster_than_updates(self, mb8_solution):

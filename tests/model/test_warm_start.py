@@ -15,10 +15,11 @@ def _solve(sites, n, warm_start=None):
 
 class TestWarmStart:
     def test_snapshot_covers_every_chain(self, sites):
-        model, _ = _solve(sites, 8)
+        model, solution = _solve(sites, 8)
         snapshot = model.snapshot()
-        assert set(snapshot) == {(s, c.value)
-                                 for (s, c) in model._state}
+        assert set(snapshot) == {(name, chain.value)
+                                 for name, site in solution.sites.items()
+                                 for chain in site.chains}
         for values in snapshot.values():
             assert values["pb"] >= 0.0
             assert values["throughput_per_ms"] > 0.0
