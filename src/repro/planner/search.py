@@ -487,7 +487,7 @@ def brute_force_optimum(evaluator: PlanEvaluator,
 
 
 def prefetch_batch(pairs) -> None:
-    """Solve ``(evaluator, mpl)`` pairs as one batched tensor program.
+    """Solve distinct ``(evaluator, mpl)`` pairs as one batched program.
 
     Memoized and cached pairs are served first; every remaining pair
     is an independent cold solve, so they run through
@@ -502,7 +502,7 @@ def prefetch_batch(pairs) -> None:
     from repro.model.outer import solve_outer_batch
 
     todo = []
-    for ev, mpl in dict.fromkeys(pairs):
+    for ev, mpl in pairs:
         found = ev._lookup(mpl)
         if not isinstance(found, dict):
             scaled, digest = found
