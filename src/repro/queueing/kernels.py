@@ -10,11 +10,17 @@ demand matrix plus a delay mask and a population vector
 NumPy operations:
 
 * :func:`solve_exact_batch` runs the exact MVA recursion level by
-  level over the population lattice — every lattice point with the
-  same total population is updated in one gather/scatter — with the
-  lattice index structure cached across calls, so repeated solves of
-  the same population shape (the fixed-point loop solves the same
-  lattice hundreds of times) pay the setup once.
+  level over the population lattice.  Every lattice point with the
+  same total population is updated in one set of tensor ops, and only
+  the previous level's queues are kept: a ``(B, Cq, M)`` array whose
+  innermost axis runs over the level's points, read through
+  predecessor positions local to that level.  The lattice index is
+  cached across calls, so repeated solves of the same population
+  shape (the fixed-point loop solves the same lattice hundreds of
+  times) pay the setup once.  Each reduction has a fixed summation
+  order (over centers, even and odd centers summed apart, then added;
+  over chains, a sequential sum), pinned bit for bit by
+  ``tests/queueing/test_exact_kernel_golden.py``.
 * :func:`solve_schweitzer_batch` iterates the Schweitzer-Bard fixed
   point as damped whole-tensor updates over a ``(batch, centers,
   chains)`` stack.  A batch element is one network: an MPL-grid point,
@@ -121,45 +127,66 @@ class BatchSolution:
 class _LatticeIndex:
     """Precomputed traversal order of one population lattice.
 
-    For each total-population level ``s`` the exact recursion needs,
-    for every lattice point at that level: its flat index, its
-    population vector, and the flat index of each one-customer-removed
-    predecessor.  These depend only on the population tuple, so they
-    are computed once and cached.
+    The exact recursion visits the lattice level by level (level ``s``
+    holds the points of total population ``s``) and keeps only the
+    previous level's queues, so each point's one-customer-removed
+    predecessors are stored as positions inside level ``s - 1``.
+    ``levels[s - 1]`` is a ``(pts, pred)`` pair of ``(K, M_s)``
+    arrays, point-major (the level's ``M_s`` points, in flat lattice
+    order, run along the innermost axis):
+
+    * ``pts``: the population vectors, as floats;
+    * ``pred``: for each chain with a customer to remove, the position
+      of the predecessor in level ``s - 1``; 0 for an empty chain.
+
+    Level 0, the empty network, is implicit.  The index depends only
+    on the population tuple, so it is computed once and cached.
     """
 
-    __slots__ = ("levels", "final_flat")
+    __slots__ = ("levels",)
 
     def __init__(self, populations: np.ndarray):
         """Index the lattice of a ``(K,)`` ``populations`` vector."""
         dims = populations + 1
         K = len(dims)
-        strides = np.ones(K, dtype=np.int64)
+        strides = np.ones((K, 1), dtype=np.intp)
         for i in range(K - 2, -1, -1):
             strides[i] = strides[i + 1] * dims[i + 1]
-        points = np.indices(dims).reshape(K, -1).T   # (L, K)
-        flat = points @ strides
-        total = points.sum(axis=1)
-        self.levels = []
-        for s in range(1, int(populations.sum()) + 1):
-            idx = np.nonzero(total == s)[0]
-            pts = points[idx]
-            active = pts > 0
-            pred = np.where(active, flat[idx, None] - strides[None, :], 0)
-            self.levels.append((flat[idx], pts.astype(np.float64),
-                                active, pred))
-        self.final_flat = int(flat[-1])
+        points = np.indices(dims).reshape(K, -1)     # (K, L), flat order
+        total = points.sum(axis=0)
+        # One stable sort groups the points by level and keeps flat
+        # order within a level (on the narrowest integer type that holds
+        # the totals, NumPy's stable sort is a radix sort).
+        narrow = total.astype(np.min_scalar_type(total[-1]))
+        order = np.argsort(narrow, kind="stable")
+        sizes = np.bincount(total)
+        ends = np.cumsum(sizes)
+        position = np.empty(len(order), dtype=np.intp)
+        position[order] = np.arange(len(order)) - np.repeat(ends - sizes,
+                                                            sizes)
+        pts = points.take(order, axis=1)
+        # Removing a customer from an empty chain yields a wrong flat
+        # index (still a valid one, negative ones wrap); it is zeroed.
+        pred = position.take(order - strides)
+        pred[pts == 0] = 0
+        self.levels = [
+            (np.ascontiguousarray(p, dtype=np.float64),
+             np.ascontiguousarray(q))
+            for p, q in zip(np.split(pts, ends[:-1], axis=1),
+                            np.split(pred, ends[:-1], axis=1))
+        ][1:]
 
 
 def _lattice_index(populations: np.ndarray) -> _LatticeIndex:
     """Cached :class:`_LatticeIndex` for a ``(K,)`` ``populations``
-    vector (LRU-ish: oldest entry evicted beyond the cache cap)."""
+    vector (least recently used entry evicted beyond the cache cap)."""
     key = tuple(int(p) for p in populations)
-    index = _LATTICE_CACHE.get(key)
+    index = _LATTICE_CACHE.pop(key, None)
     if index is None:
         if len(_LATTICE_CACHE) >= _LATTICE_CACHE_MAX:
             _LATTICE_CACHE.pop(next(iter(_LATTICE_CACHE)))
-        index = _LATTICE_CACHE[key] = _LatticeIndex(populations)
+        index = _LatticeIndex(populations)
+    _LATTICE_CACHE[key] = index
     return index
 
 
@@ -200,44 +227,51 @@ def solve_exact_batch(
         return (X[0], R[0]) if squeeze else (X, R)
 
     qmask = ~delay
-    Dq = demands[:, qmask, :]                       # (B, Cq, K)
-    DqT = np.ascontiguousarray(Dq.transpose(0, 2, 1))  # (B, K, Cq)
-    delay_r = demands[:, delay, :].sum(axis=1)      # (B, K)
+    Dq = np.ascontiguousarray(demands[:, qmask, :])  # (B, Cq, K)
+    D4 = Dq[:, :, :, None]
+    delay_r = demands[:, delay, :].sum(axis=1)       # (B, K)
+    delay_r3 = delay_r[:, :, None]
     Cq = Dq.shape[1]
 
-    index = _lattice_index(populations)
-    L = index.final_flat + 1
-    Q = np.zeros((B, L, Cq))
-    X_final = np.zeros((B, K))
-    R_final = np.zeros((B, K, Cq))
-    # The residence matrix R is only needed at the final lattice
-    # point; interior levels fold the demand product straight into the
-    # einsum reductions, which skips two (B, M, K, Cq) temporaries per
-    # level on the hot path.
+    *interior, (pts, pred) = _lattice_index(populations).levels
+    # Only the previous level's queues are kept: (B, Cq, M_{s-1}),
+    # point axis innermost, starting from the empty network.
+    Q = np.zeros((B, Cq, 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         # The exact MVA recursion is inherently sequential across
         # lattice *levels* (level s needs level s-1); all points
-        # within a level update as one tensor op.
+        # within a level update as one tensor op.  Each reduction
+        # keeps the summation order of the original einsum kernel, so
+        # the output is bit-identical to it: over centers, the even
+        # and the odd centers are summed separately, then added; over
+        # chains, a sequential sum of (X * D) * (1 + Q).
         # caratlint: disable=CL002 -- sequential lattice recursion
-        for flat, pts, active, pred in index.levels:
-            one_plus = Q[:, pred]                   # (B, M, K, Cq)
+        for pts_s, pred_s in interior:
+            one_plus = Q.take(pred_s, axis=2)       # (B, Cq, K, M)
             one_plus += 1.0
-            last = flat[-1] == index.final_flat
-            if last:
-                R = DqT[:, None, :, :] * one_plus   # (B, M, K, Cq)
-                tot = R.sum(axis=3) + delay_r[:, None, :]
-            else:
-                tot = np.einsum("bkc,bmkc->bmk", DqT, one_plus)
-                tot += delay_r[:, None, :]
-            X = np.where(active[None, :, :] & (tot > 0.0),
-                         pts[None, :, :] / tot, 0.0)
-            if last:
-                Q[:, flat] = np.einsum("bmk,bmkc->bmc", X, R)
-                X_final = X[:, -1]
-                R_final = np.where(DqT > 0.0, R[:, -1], 0.0)
-            else:
-                Q[:, flat] = np.einsum("bmk,bkc,bmkc->bmc",
-                                       X, DqT, one_plus)
+            R = D4 * one_plus
+            tot = R[:, 0::2].sum(axis=1)            # (B, K, M)
+            tot += R[:, 1::2].sum(axis=1)
+            tot += delay_r3
+            # An empty chain has pts 0, so its throughput is 0 as well.
+            X = np.where(tot > 0.0, pts_s / tot, 0.0)
+            np.multiply(X[:, None], D4, out=R)
+            R *= one_plus
+            Q = R.sum(axis=2)                       # (B, Cq, M)
+
+        # The last level is the one full-population point: its
+        # residence matrix is the result, its queues are not needed.
+        # An empty (zero-population) chain sees the empty network.
+        pts = pts[:, 0]
+        DqT = np.ascontiguousarray(Dq.transpose(0, 2, 1))  # (B, K, Cq)
+        one_plus = np.ascontiguousarray(np.where(
+            pts[:, None] > 0.0, Q.take(pred[:, 0], axis=2).transpose(0, 2, 1),
+            0.0))
+        one_plus += 1.0
+        R = DqT * one_plus
+        tot = R.sum(axis=2) + delay_r
+        X_final = np.where(tot > 0.0, pts / tot, 0.0)
+        R_final = np.where(DqT > 0.0, R, 0.0)
 
     residence = np.zeros((B, C, K))
     residence[:, qmask, :] = R_final.transpose(0, 2, 1)
