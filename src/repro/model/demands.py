@@ -31,7 +31,9 @@ class PhaseCosts:
 
     ``cpu``/``db_disk``/``log_disk`` map phases to milliseconds per
     visit; ``db_ios``/``log_ios`` map phases to physical I/O operations
-    per visit (used for the Total-DIO metric).
+    per visit (used for the Total-DIO metric).  ``ios_per_request``
+    (``q(t)``) and ``locks`` (``N_lk(t)``) are the structural scalars
+    the costs were derived from.
     """
 
     cpu: dict[Phase, float] = field(default_factory=dict)
@@ -39,6 +41,8 @@ class PhaseCosts:
     log_disk: dict[Phase, float] = field(default_factory=dict)
     db_ios: dict[Phase, float] = field(default_factory=dict)
     log_ios: dict[Phase, float] = field(default_factory=dict)
+    ios_per_request: float = 0.0
+    locks: float = 0.0
 
 
 def ios_per_request(site: SiteParameters, workload: WorkloadSpec,
@@ -194,7 +198,8 @@ def build_phase_costs(
         db_ios[Phase.TAIO] = undo_ios
 
     return PhaseCosts(cpu=cpu, db_disk=db_disk, log_disk=log_disk,
-                      db_ios=db_ios, log_ios=log_ios)
+                      db_ios=db_ios, log_ios=log_ios, ios_per_request=q,
+                      locks=locks)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError, ConvergenceError
-from repro.model import demands as demands_mod
 from repro.model import locking
 from repro.model.parameters import SiteParameters
 from repro.model.phases import NO_CONFLICT, transition_matrix
@@ -246,13 +245,13 @@ def solve_open_batch(
     costs = PhaseCostTable((1, M))
     for m, (site_name, chain) in enumerate(keys):
         site = sites[site_name]
-        q = demands_mod.ios_per_request(site, template, chain)
-        locks[0, m] = demands_mod.lock_count(template, chain, q)
+        base = costs.fill((0, m), site, template, chain)
+        locks[0, m] = base.locks
         gran[0, m] = locking.effective_granules(template, site)
         p0[0, m] = transition_matrix(
             chain, template.local_requests(chain),
-            template.remote_requests(chain), q, NO_CONFLICT)
-        costs.fill((0, m), site, template, chain)
+            template.remote_requests(chain), base.ios_per_request,
+            NO_CONFLICT)
     br = (2.0 * locks + 1.0) / (6.0 * locks)
     rate_ms = np.array(base_rate)[None, :] * scale[:, None] / 1e3
 

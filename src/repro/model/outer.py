@@ -158,9 +158,12 @@ class PhaseCostTable:
         self.block_io = np.zeros(shape)
         self.log_split = np.zeros(shape, dtype=bool)
 
-    def fill(self, index: tuple[int, ...], site, workload, chain) -> None:
+    def fill(self, index: tuple[int, ...], site, workload,
+             chain) -> demands_mod.PhaseCosts:
         """Load one state's costs from
-        :func:`~repro.model.demands.build_phase_costs`."""
+        :func:`~repro.model.demands.build_phase_costs` and return the
+        build, whose ``ios_per_request`` and ``locks`` the caller
+        reuses."""
         base = demands_mod.build_phase_costs(site, workload, chain,
                                              aborted_granules=0.0)
         for table, values in ((self.cpu_base, base.cpu),
@@ -175,6 +178,7 @@ class PhaseCostTable:
             self.ios_taio_slope[index] = site.protocol.undo_ios_per_granule
         self.block_io[index] = site.block_io_ms
         self.log_split[index] = site.log_on_separate_disk
+        return base
 
     def demands(self, v: np.ndarray, ns: np.ndarray, ey: np.ndarray,
                 rows) -> tuple[np.ndarray, ...]:
@@ -474,11 +478,12 @@ class _BatchEngine:
                     for name in self.site_names}
             for m, (site_name, chain) in enumerate(self.keys):
                 site = model.sites[site_name]
-                q = demands_mod.ios_per_request(site, wl, chain)
+                base = self.costs.fill((b, m), site, wl, chain)
+                q = base.ios_per_request
                 local = wl.local_requests(chain)
                 remote = wl.remote_requests(chain)
                 self.pop_i[b, m] = pops[site_name][chain]
-                self.locks[b, m] = demands_mod.lock_count(wl, chain, q)
+                self.locks[b, m] = base.locks
                 self.qv[b, m] = q
                 self.lreq[b, m] = float(local)
                 self.rreq[b, m] = float(remote)
@@ -487,7 +492,6 @@ class _BatchEngine:
                 if chain.is_slave:
                     records = wl.records_per_txn(chain)
                 recs.append(records)
-                self.costs.fill((b, m), site, wl, chain)
                 self.commit_ms[b, m] = (
                     self.costs.cpu_base[b, m, _PI[Phase.TC]]
                     + self.costs.db_base[b, m, _PI[Phase.TCIO]]

@@ -1,7 +1,8 @@
 """The batched engine owns the model's iterate: no scalar rebuild runs.
 
 Production builds every chain's phase costs once, when the engine is
-set up, and assembles demands as arrays from then on.  The scalar
+set up, takes the chain's ``q(t)`` and lock count from that build, and
+assembles demands as arrays from then on.  The scalar
 per-chain assembly (``phases.visit_counts`` ->
 ``demands.aggregate_demands``) belongs to the oracle in
 ``repro.model.solver_reference``, which neither the planner nor the
@@ -40,6 +41,7 @@ def _count_calls(monkeypatch, func):
 
 def test_production_runs_no_scalar_demand_assembly(monkeypatch, sites):
     costs = _count_calls(monkeypatch, demands.build_phase_costs)
+    ios = _count_calls(monkeypatch, demands.ios_per_request)
     aggregates = _count_calls(monkeypatch, demands.aggregate_demands)
     visits = _count_calls(monkeypatch, phases.visit_counts)
 
@@ -55,6 +57,8 @@ def test_production_runs_no_scalar_demand_assembly(monkeypatch, sites):
                   for site in solution.sites.values())
               + sum(len(network.populations) for network in networks))
     assert len(costs) == chains
+    # q(t) (Yao's formula) and N_lk(t) come from that one build.
+    assert len(ios) == chains
     assert aggregates == []
     assert visits == []
 
