@@ -239,9 +239,27 @@ def _kernel_networks(batch: int):
     ]
 
 
+def _large_exact_inputs():
+    """Arguments of one :func:`~repro.queueing.kernels.solve_exact_batch`
+    call at the largest lattice the capacity planner solves: two site
+    networks (``B = 2``) of six chains at population 6 (7^6 = 117,649
+    lattice points) over a CPU and a disk queue and four delay rows."""
+    import numpy as np
+
+    chains = np.arange(6)
+    queueing = [40.0 + 7.0 * ci + 3.1 * chains for ci in range(2)]
+    delay = [900.0 + 150.0 * di + 41.0 * chains for di in range(4)]
+    demands = np.array([queueing + delay, [1.3 * row for row in queueing + delay]])
+    mask = np.array([False, False, True, True, True, True])
+    return demands, mask, np.full(6, 6, dtype=np.int64)
+
+
 def run_kernel_bench(batch: int = KERNEL_BATCH, repeats: int = 3) -> BenchRecord:
     """Time the MVA kernels: one exact solve, a Schweitzer loop over
-    *batch* networks, and the same batch as one stacked call.
+    *batch* networks, the same batch as one stacked call, and one exact
+    batch at the planner's largest lattice (``large_exact``, with the
+    lattice index already cached, as in the fixed point's repeated
+    solves).
 
     Timings take the best of *repeats* repetitions (noise only ever
     slows a run down); the loop and the batch solve the *same*
@@ -252,10 +270,13 @@ def run_kernel_bench(batch: int = KERNEL_BATCH, repeats: int = 3) -> BenchRecord
     like-for-like comparison through the public dict-based adapters.
     """
     from repro.queueing.mva_approx import solve_mva_approx, solve_mva_approx_batch
+    from repro.queueing.kernels import solve_exact_batch
     from repro.queueing.mva_exact import solve_mva_exact
 
     networks = _kernel_networks(batch)
-    best_exact = best_loop = best_batch = float("inf")
+    large = _large_exact_inputs()
+    solve_exact_batch(*large)
+    best_exact = best_loop = best_batch = best_large = float("inf")
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
         solve_mva_exact(networks[0])
@@ -273,6 +294,11 @@ def run_kernel_bench(batch: int = KERNEL_BATCH, repeats: int = 3) -> BenchRecord
         t1 = time.perf_counter()
         best_batch = min(best_batch, (t1 - t0) * 1e6)
 
+        t0 = time.perf_counter()
+        solve_exact_batch(*large)
+        t1 = time.perf_counter()
+        best_large = min(best_large, (t1 - t0) * 1e6)
+
     per_solve = best_batch / batch
     return BenchRecord(
         layer="kernel",
@@ -281,6 +307,7 @@ def run_kernel_bench(batch: int = KERNEL_BATCH, repeats: int = 3) -> BenchRecord
             "single_exact": best_exact / 1e3,
             "single_approx": best_loop / 1e3,
             "batch_per_solve": per_solve / 1e3,
+            "large_exact": best_large / 1e3,
         },
         speedup={"batch": best_loop / per_solve},
         detail={"batch_size": batch, "batch_us": best_batch},

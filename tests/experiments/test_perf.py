@@ -238,7 +238,7 @@ class TestKernelBench:
         assert (record.layer, record.name) == ("kernel", "kernels")
         assert record.detail["batch_size"] == 4
         assert set(record.wall_ms) == {"single_exact", "single_approx",
-                                       "batch_per_solve"}
+                                       "batch_per_solve", "large_exact"}
         assert min(record.wall_ms.values()) > 0.0
         assert record.wall_ms["batch_per_solve"] == \
             pytest.approx(record.detail["batch_us"] / 4 / 1e3)
