@@ -164,17 +164,15 @@ class _LatticeIndex:
         position = np.empty(len(order), dtype=np.intp)
         position[order] = np.arange(len(order)) - np.repeat(ends - sizes,
                                                             sizes)
-        pts = points.take(order, axis=1)
-        # Removing a customer from an empty chain yields a wrong flat
-        # index (still a valid one, negative ones wrap); it is zeroed.
-        pred = position.take(order - strides)
-        pred[pts == 0] = 0
-        self.levels = [
-            (np.ascontiguousarray(p, dtype=np.float64),
-             np.ascontiguousarray(q))
-            for p, q in zip(np.split(pts, ends[:-1], axis=1),
-                            np.split(pred, ends[:-1], axis=1))
-        ][1:]
+        self.levels: list[tuple[np.ndarray, np.ndarray]] = []
+        for flat in np.split(order, ends[:-1])[1:]:
+            pts = points.take(flat, axis=1)
+            # Removing a customer from an empty chain yields a wrong
+            # flat index (still a valid one, negative ones wrap); it is
+            # zeroed.
+            pred = position.take(flat - strides)
+            pred[pts == 0] = 0
+            self.levels.append((pts.astype(np.float64), pred))
 
 
 def _lattice_index(populations: np.ndarray) -> _LatticeIndex:
