@@ -135,7 +135,9 @@ class _LatticeIndex:
     arrays, point-major (the level's ``M_s`` points, in flat lattice
     order, run along the innermost axis):
 
-    * ``pts``: the population vectors, as floats;
+    * ``pts``: the population vectors, in the narrowest unsigned
+      integer type that holds them (converting to float in the
+      division is exact, and the index stays small);
     * ``pred``: for each chain with a customer to remove, the position
       of the predecessor in level ``s - 1``; 0 for an empty chain.
 
@@ -152,8 +154,9 @@ class _LatticeIndex:
         strides = np.ones((K, 1), dtype=np.intp)
         for i in range(K - 2, -1, -1):
             strides[i] = strides[i + 1] * dims[i + 1]
-        points = np.indices(dims).reshape(K, -1)     # (K, L), flat order
-        total = points.sum(axis=0)
+        small = np.min_scalar_type(int(populations.max()))
+        points = np.indices(dims, dtype=small).reshape(K, -1)  # (K, L)
+        total = points.sum(axis=0, dtype=np.intp)
         # One stable sort groups the points by level and keeps flat
         # order within a level (on the narrowest integer type that holds
         # the totals, NumPy's stable sort is a radix sort).
@@ -172,7 +175,7 @@ class _LatticeIndex:
             # zeroed.
             pred = position.take(flat - strides)
             pred[pts == 0] = 0
-            self.levels.append((pts.astype(np.float64), pred))
+            self.levels.append((pts, pred))
 
 
 def _lattice_index(populations: np.ndarray) -> _LatticeIndex:
@@ -263,7 +266,7 @@ def solve_exact_batch(
         pts = pts[:, 0]
         DqT = np.ascontiguousarray(Dq.transpose(0, 2, 1))  # (B, K, Cq)
         one_plus = np.ascontiguousarray(np.where(
-            pts[:, None] > 0.0, Q.take(pred[:, 0], axis=2).transpose(0, 2, 1),
+            pts[:, None] > 0, Q.take(pred[:, 0], axis=2).transpose(0, 2, 1),
             0.0))
         one_plus += 1.0
         R = DqT * one_plus
