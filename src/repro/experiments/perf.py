@@ -269,8 +269,8 @@ def run_kernel_bench(batch: int = KERNEL_BATCH, repeats: int = 3) -> BenchRecord
     :func:`~repro.queueing.mva_approx.solve_mva_approx` — is a
     like-for-like comparison through the public dict-based adapters.
     """
-    from repro.queueing.mva_approx import solve_mva_approx, solve_mva_approx_batch
     from repro.queueing.kernels import solve_exact_batch
+    from repro.queueing.mva_approx import solve_mva_approx, solve_mva_approx_batch
     from repro.queueing.mva_exact import solve_mva_exact
 
     networks = _kernel_networks(batch)

@@ -241,11 +241,11 @@ def solve_exact_batch(
     with np.errstate(divide="ignore", invalid="ignore"):
         # The exact MVA recursion is inherently sequential across
         # lattice *levels* (level s needs level s-1); all points
-        # within a level update as one tensor op.  Each reduction
-        # keeps the summation order of the original einsum kernel, so
-        # the output is bit-identical to it: over centers, the even
-        # and the odd centers are summed separately, then added; over
-        # chains, a sequential sum of (X * D) * (1 + Q).
+        # within a level update as one tensor op.  Every reduction has
+        # a fixed summation order, pinned bit for bit by the kernel
+        # golden test: over centers, the even and the odd centers are
+        # summed apart, then added (a plain sum at the last point);
+        # over chains, a sequential sum of (X * D) * (1 + Q).
         # caratlint: disable=CL002 -- sequential lattice recursion
         for pts_s, pred_s in interior:
             one_plus = Q.take(pred_s, axis=2)       # (B, Cq, K, M)
@@ -255,7 +255,8 @@ def solve_exact_batch(
             tot += R[:, 1::2].sum(axis=1)
             tot += delay_r3
             # An empty chain has pts 0, so its throughput is 0 as well.
-            X = np.where(tot > 0.0, pts_s / tot, 0.0)
+            X = pts_s / tot
+            X[~(tot > 0.0)] = 0.0
             np.multiply(X[:, None], D4, out=R)
             R *= one_plus
             Q = R.sum(axis=2)                       # (B, Cq, M)
