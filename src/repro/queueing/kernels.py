@@ -263,7 +263,9 @@ def solve_exact_batch(
 
         # The last level is the one full-population point: its
         # residence matrix is the result, its queues are not needed.
-        # An empty (zero-population) chain sees the empty network.
+        # An empty (zero-population) chain sees the empty network.  The
+        # operands are C-ordered, so the center sum runs over the
+        # contiguous last axis.
         pts = pts[:, 0]
         DqT = np.ascontiguousarray(Dq.transpose(0, 2, 1))  # (B, K, Cq)
         one_plus = np.ascontiguousarray(np.where(
