@@ -11,7 +11,8 @@ compared like the paper's model-vs-measurement studies.
 from repro.testbed.batchmeans import (BatchMeansResult, batch_means,
                                       lag1_autocorrelation)
 from repro.testbed.deadlock import GlobalDetector
-from repro.testbed.des import Event, Fork, Process, Simulator, Timeout, Wait
+from repro.testbed.des import (Event, Fork, Process, Serve, Simulator,
+                               Timeout, Wait)
 from repro.testbed.locks import LockManager, LockMode, LockRequestOutcome
 from repro.testbed.serializability import (AccessRecord,
                                            CommittedTransaction,
@@ -34,7 +35,7 @@ from repro.testbed.wal import (Journal, LogRecord, RecordType,
                                RecoveryReport, recover)
 
 __all__ = [
-    "Simulator", "Event", "Timeout", "Wait", "Fork", "Process",
+    "Simulator", "Event", "Timeout", "Wait", "Fork", "Serve", "Process",
     "FcfsResource", "CountingPool", "Mailbox",
     "LockManager", "LockMode", "LockRequestOutcome",
     "BlockStorage", "Journal", "LogRecord", "RecordType", "recover",

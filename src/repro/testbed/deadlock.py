@@ -117,7 +117,7 @@ class GlobalDetector:
                     yield Timeout(self.alpha_ms)
                     current_site = site
                 self.probes_sent += 1
-                yield from node.cpu.use(self.probe_cpu_ms)
+                yield node.cpu.serve(self.probe_cpu_ms)
                 for blocker in node.locks.blockers(txn_id):
                     if blocker == initiator:
                         return True

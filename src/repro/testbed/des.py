@@ -12,6 +12,12 @@ generators that ``yield`` *commands*:
 ``Fork(generator)``
     Start a child process immediately (the parent keeps running) and
     receive its :class:`Process` handle.
+``Serve(resource, delay)``
+    Queue FCFS for a single server, hold it for ``delay`` time units
+    and release it (made by
+    :meth:`~repro.testbed.resources.FcfsResource.serve`).  The kernel
+    runs the whole service: the process resumes once, after the
+    release.
 
 The kernel is deterministic: simultaneous events fire in scheduling
 order.  Each heap entry is a ``(time, seq, process, payload)`` tuple
@@ -24,11 +30,15 @@ from __future__ import annotations
 import math
 from collections.abc import Generator
 from heapq import heappop, heappush
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import SimulationError
 
-__all__ = ["Event", "Timeout", "Wait", "Fork", "Process", "Simulator"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.testbed.resources import FcfsResource
+
+__all__ = ["Event", "Timeout", "Wait", "Fork", "Serve", "Process",
+           "Simulator"]
 
 
 class Event:
@@ -101,6 +111,35 @@ class Fork:
 
     def __repr__(self) -> str:
         return f"Fork({self.generator!r})"
+
+
+class Serve:
+    """Yieldable: queue for *resource*, hold it for ``delay`` time units,
+    release it.
+
+    The kernel reads and updates *resource*'s ``_busy``/``_busy_since``
+    /``_queue`` state and calls its ``release`` at completion.  A service takes
+    two heap entries, like a request waking on a grant followed by a
+    ``Timeout``: the start at the time the server is taken (now when
+    it is idle, the hand-over instant when queued), then the
+    completion ``delay`` later, which releases the server and resumes
+    the process.
+    """
+
+    __slots__ = ("resource", "delay", "process", "started")
+
+    def __init__(self, resource: FcfsResource, delay: float):
+        if delay < 0:
+            raise SimulationError(f"negative service time {delay}")
+        self.resource = resource
+        self.delay = delay
+        #: the requester, once the command is queued or started
+        self.process: Process | None = None
+        #: set when the start entry has scheduled the completion
+        self.started = False
+
+    def __repr__(self) -> str:
+        return f"Serve({self.resource.name!r}, {self.delay!r})"
 
 
 class Process:
@@ -198,10 +237,36 @@ class Simulator:
     def _step(self, process: Process, payload: Any) -> None:
         if process.done:
             return
+        if isinstance(payload, Serve):
+            if not payload.started:
+                # Service start: schedule the completion; the process
+                # stays suspended.
+                payload.started = True
+                self._seq += 1
+                heappush(self._heap, (self.now + payload.delay,
+                                      self._seq, process, payload))
+                return
+            # Service completion: hand the server over, then resume.
+            payload.resource.release()
+            payload = None
         generator = process.generator
         try:
             command = generator.send(payload)
             while True:
+                if isinstance(command, Serve):
+                    # delay >= 0 was checked when the Serve was made.
+                    command.process = process
+                    command.started = False
+                    resource = command.resource
+                    if resource._busy or resource._queue:
+                        resource._queue.append(command)
+                    else:
+                        resource._busy = True
+                        resource._busy_since = self.now
+                        self._seq += 1
+                        heappush(self._heap, (self.now, self._seq,
+                                              process, command))
+                    return
                 if isinstance(command, Timeout):
                     # delay >= 0 was checked when the Timeout was made.
                     self._seq += 1
@@ -214,7 +279,8 @@ class Simulator:
                 if not isinstance(command, Fork):
                     raise SimulationError(
                         f"process {process.name!r} yielded {command!r}; "
-                        f"expected Timeout, Wait, or Fork"
+                        f"expected Timeout, Wait, or Fork (or the Serve of "
+                        f"FcfsResource.serve)"
                     )
                 command = generator.send(self.spawn(command.generator))
         except StopIteration as stop:

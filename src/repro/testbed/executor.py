@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from repro.model.types import BASE_TO_USER_CHAIN, BaseType, Phase
 from repro.testbed.des import Fork, Timeout, Wait
-from repro.testbed.locks import LockRequestOutcome
+from repro.testbed.locks import LockMode, LockRequestOutcome
 from repro.testbed.node import CaratNode
 from repro.testbed.tracing import TraceEventKind
 from repro.testbed.transactions import Transaction
@@ -40,9 +40,23 @@ __all__ = ["UserProcess"]
 GRANTED = "granted"
 ABORTED = "aborted"
 
+#: Lock-request outcomes, read once (an Enum member read through its
+#: class is a Python-level lookup, and this is paid per lock request).
+_LOCK_GRANTED = LockRequestOutcome.GRANTED
+_LOCK_DEADLOCK = LockRequestOutcome.DEADLOCK
+
 
 class UserProcess:
-    """One user terminal submitting transactions of a fixed base type."""
+    """One user terminal submitting transactions of a fixed base type.
+
+    Phase transitions on the main driver timeline are marked on the
+    telemetry span clock behind ``if clock is not None``, so a run
+    without telemetry does not even read the ``Phase`` member.  Forked
+    branches run on their own timelines and are always given a None
+    clock: their duration is observed by the coordinator as CWC/RW
+    wait, matching the model's delay-center view of 2PC and overlapped
+    remote work.
+    """
 
     def __init__(self, system: CaratSimulation, home: str,
                  base: BaseType, user_index: int):
@@ -61,6 +75,22 @@ class UserProcess:
         self._chain = BASE_TO_USER_CHAIN[base]
         self._costs = {name: node.params.costs[base]
                        for name, node in system.nodes.items()}
+        # Type properties and visit counters, resolved once: the hot
+        # path would otherwise re-derive an Enum property or hash a
+        # (site, BaseType, name) key per request.
+        self._is_update = base.is_update
+        self._is_distributed = base.is_distributed
+        self._lock_mode = (LockMode.EXCLUSIVE if self._is_update
+                           else LockMode.SHARED)
+        counter = system.metrics.event_counter
+        self._tm_msgs = counter(home, base, "tm_msg")
+        self._slave_tm_msgs = {name: counter(name, base, "slave_tm_msg")
+                               for name in system.nodes}
+        self._lock_requests = {name: counter(name, base, "lock_request")
+                               for name in system.nodes}
+        self._granule_accesses = {
+            name: counter(name, base, "granule_access")
+            for name in system.nodes}
 
     # ------------------------------------------------------------------
     # main loop
@@ -91,7 +121,8 @@ class UserProcess:
                 break
             self.system.metrics.abort(self.home, self.base)
             if think > 0:
-                self._mark(clock, self.home, Phase.UT)
+                if clock is not None:
+                    clock.mark(self.sim.now, self.home, Phase.UT)
                 yield Timeout(self._think(think))
         if clock is not None:
             clock.close(self.sim.now,
@@ -101,19 +132,6 @@ class UserProcess:
         self.system.metrics.commit(
             self.home, self.base,
             self.sim.now - cycle_start, records)
-
-    def _mark(self, clock: SpanClock | None, site: str,
-              phase: Phase) -> None:
-        """Record a phase transition on the main driver timeline.
-
-        No-op when telemetry is detached (``clock`` is None) and for
-        forked branches, which run on their own timelines and are
-        always given a None clock — their duration is observed by the
-        coordinator as CWC/RW wait, matching the model's delay-center
-        view of 2PC and overlapped remote work.
-        """
-        if clock is not None:
-            clock.mark(self.sim.now, site, phase)
 
     def _think(self, mean_ms: float) -> float:
         """Exponential think time (memoryless terminal)."""
@@ -184,7 +202,8 @@ class UserProcess:
         outcome = yield from self._run_plan_serial(txn, home, locals_,
                                                    clock)
         if branch is not None:
-            self._mark(clock, self.home, Phase.RW)
+            if clock is not None:
+                clock.mark(self.sim.now, self.home, Phase.RW)
             remote_outcome = yield Wait(branch.completion)
             if outcome is None:
                 outcome = remote_outcome
@@ -207,7 +226,7 @@ class UserProcess:
     def _begin(self) -> Transaction:
         self._seq += 1
         workload = self.system.workload
-        if self.base.is_distributed:
+        if self._is_distributed:
             sites = (self.home,) + tuple(
                 s for s in workload.sites if s != self.home)
         else:
@@ -233,7 +252,7 @@ class UserProcess:
     def _request_plan(self) -> list[str]:
         """Shuffled sequence of local/remote request markers."""
         workload = self.system.workload
-        if self.base.is_distributed:
+        if self._is_distributed:
             # Use the same l/r split as the model's coordinator chain.
             local = workload.local_requests(self._chain)
             remote = workload.remote_requests(self._chain)
@@ -276,12 +295,14 @@ class UserProcess:
         costs = self._costs[self.home]
         metrics = self.system.metrics
         # U phase: the user process prepares the request.
-        self._mark(clock, self.home, Phase.U)
-        yield from home.cpu.use(costs.u_cpu)
+        if clock is not None:
+            clock.mark(self.sim.now, self.home, Phase.U)
+        yield home.cpu.serve(costs.u_cpu)
         # TM dispatch (TDO -> DOSTEP or REMDO).
-        self._mark(clock, self.home, Phase.TM)
+        if clock is not None:
+            clock.mark(self.sim.now, self.home, Phase.TM)
         yield from home.tm_message(costs.tm_cpu)
-        metrics.event(self.home, self.base, "tm_msg")
+        metrics.bump(self._tm_msgs)
         if kind == "local":
             outcome = yield from self._dm_request(txn, home, clock)
         else:
@@ -291,21 +312,26 @@ class UserProcess:
             # Network latency is RW at home; the inline processing at
             # the target is attributed to the target's own phases (the
             # model's slave-chain work).
-            self._mark(clock, self.home, Phase.RW)
+            if clock is not None:
+                clock.mark(self.sim.now, self.home, Phase.RW)
             yield Timeout(self.system.alpha_ms)
-            self._mark(clock, target_name, Phase.TM)
+            if clock is not None:
+                clock.mark(self.sim.now, target_name, Phase.TM)
             yield from target.tm_message(remote_costs.tm_cpu)
-            metrics.event(target_name, self.base, "slave_tm_msg")
+            metrics.bump(self._slave_tm_msgs[target_name])
             outcome = yield from self._dm_request(txn, target, clock)
-            self._mark(clock, target_name, Phase.TM)
+            if clock is not None:
+                clock.mark(self.sim.now, target_name, Phase.TM)
             yield from target.tm_message(remote_costs.tm_cpu)
-            metrics.event(target_name, self.base, "slave_tm_msg")
-            self._mark(clock, self.home, Phase.RW)
+            metrics.bump(self._slave_tm_msgs[target_name])
+            if clock is not None:
+                clock.mark(self.sim.now, self.home, Phase.RW)
             yield Timeout(self.system.alpha_ms)
         # TM response processing (DOSTEP_K / REMDO_K).
-        self._mark(clock, self.home, Phase.TM)
+        if clock is not None:
+            clock.mark(self.sim.now, self.home, Phase.TM)
         yield from home.tm_message(costs.tm_cpu)
-        metrics.event(self.home, self.base, "tm_msg")
+        metrics.bump(self._tm_msgs)
         return outcome
 
     def _dm_request(self, txn: Transaction, node: CaratNode,
@@ -319,8 +345,9 @@ class UserProcess:
         for record in records:
             granule = node.storage.granule_of(record)
             # DM processing between lock requests.
-            self._mark(clock, node.name, Phase.DM)
-            yield from node.cpu.use(costs.dm_cpu)
+            if clock is not None:
+                clock.mark(self.sim.now, node.name, Phase.DM)
+            yield node.cpu.serve(costs.dm_cpu)
             if granule in state.held:
                 continue
             outcome = yield from self._acquire_lock(txn, node, granule,
@@ -328,14 +355,15 @@ class UserProcess:
             if outcome is not None:
                 return outcome
             state.held.add(granule)
-            self._mark(clock, node.name, Phase.DMIO)
-            yield from node.cpu.use(costs.dmio_cpu)
-            self.system.metrics.event(node.name, self.base,
-                                      "granule_access")
+            if clock is not None:
+                clock.mark(self.sim.now, node.name, Phase.DMIO)
+            yield node.cpu.serve(costs.dmio_cpu)
+            self.system.metrics.bump(self._granule_accesses[node.name])
             yield from self._granule_io(txn, node, granule)
         # Final DM processing before the response message.
-        self._mark(clock, node.name, Phase.DM)
-        yield from node.cpu.use(costs.dm_cpu)
+        if clock is not None:
+            clock.mark(self.sim.now, node.name, Phase.DM)
+        yield node.cpu.serve(costs.dm_cpu)
         return None
 
     def _pick_records(self, node: CaratNode, count: int) -> list[int]:
@@ -378,25 +406,27 @@ class UserProcess:
                       clock: SpanClock | None = None) -> Generator:
         """LR phase: lock request, possible LW wait, deadlock handling."""
         costs = self._costs[node.name]
-        self._mark(clock, node.name, Phase.LR)
-        yield from node.cpu.use(costs.lr_cpu)
-        self.system.metrics.event(node.name, self.base, "lock_request")
-        wait = self.sim.event()
-        outcome = node.locks.request(
-            txn.txn_id, granule, txn.lock_mode,
-            grant=lambda: wait.fire(GRANTED))
-        if outcome is LockRequestOutcome.GRANTED:
+        if clock is not None:
+            clock.mark(self.sim.now, node.name, Phase.LR)
+        yield node.cpu.serve(costs.lr_cpu)
+        self.system.metrics.bump(self._lock_requests[node.name])
+        outcome = node.locks.request(txn.txn_id, granule, self._lock_mode)
+        if outcome is _LOCK_GRANTED:
             self._log_access(txn, node, granule)
             return None
-        if outcome is LockRequestOutcome.DEADLOCK:
+        if outcome is _LOCK_DEADLOCK:
             node.metrics.local_deadlock(node.name)
             self.system.trace(TraceEventKind.DEADLOCK_LOCAL,
                               txn.txn_id, node.name,
                               detail=f"granule={granule}")
             return node.name
-        # Blocked: register for remote aborts and start a prober.
+        # Blocked: only now build the grant event, register it for
+        # remote aborts and start a prober.
+        wait = self.sim.event()
+        node.locks.on_grant(txn.txn_id, lambda: wait.fire(GRANTED))
         node.metrics.lock_wait(node.name)
-        self._mark(clock, node.name, Phase.LW)
+        if clock is not None:
+            clock.mark(self.sim.now, node.name, Phase.LW)
         self.system.trace(TraceEventKind.LOCK_WAIT, txn.txn_id,
                           node.name, detail=f"granule={granule}")
         node.lock_wait_events[txn.txn_id] = wait
@@ -419,7 +449,7 @@ class UserProcess:
                     granule: int) -> None:
         if self.system.config.record_history:
             txn.access_log.append(
-                (node.name, granule, txn.lock_mode, self.sim.now))
+                (node.name, granule, self._lock_mode, self.sim.now))
 
     def _granule_io(self, txn: Transaction, node: CaratNode,
                     granule: int) -> Generator:
@@ -429,7 +459,7 @@ class UserProcess:
                and self.rng.random() < node.params.buffer_hit_probability)
         if not hit:
             yield from node.disk_read()
-        if self.base.is_update:
+        if self._is_update:
             before = node.storage.read_block(granule)
             node.journal.append(RecordType.BEFORE_IMAGE, txn.txn_id,
                                 granule=granule, image=before)
@@ -451,22 +481,26 @@ class UserProcess:
         protocol = home.params.protocol
         costs = self._costs[self.home]
         # The user prepares the TEND message (last U-phase visit).
-        self._mark(clock, self.home, Phase.U)
-        yield from home.cpu.use(costs.u_cpu)
+        if clock is not None:
+            clock.mark(self.sim.now, self.home, Phase.U)
+        yield home.cpu.serve(costs.u_cpu)
         if not txn.is_distributed:
             home.journal.append(RecordType.COMMIT, txn.txn_id)
             force = (protocol.coordinator_commit_ios
-                     if self.base.is_update
+                     if self._is_update
                      else protocol.readonly_commit_ios)
-            self._mark(clock, self.home, Phase.TC)
+            if clock is not None:
+                clock.mark(self.sim.now, self.home, Phase.TC)
             yield from home.tm_message(protocol.commit_cpu + costs.tm_cpu,
                                        force_ios=force, clock=clock)
-            self._mark(clock, self.home, Phase.UL)
+            if clock is not None:
+                clock.mark(self.sim.now, self.home, Phase.UL)
             yield from self._release_site(txn, home)
             return
 
         # --- centralized 2PC (paper §2, [GRAY79]) ---
-        self._mark(clock, self.home, Phase.TC)
+        if clock is not None:
+            clock.mark(self.sim.now, self.home, Phase.TC)
         yield from home.tm_message(protocol.commit_cpu + costs.tm_cpu)
         slaves = [self.system.nodes[s] for s in txn.sites[1:]]
         # Round 1: PREPARE, in parallel.
@@ -475,15 +509,17 @@ class UserProcess:
                                          for s in slaves], clock)
         # Coordinator decision: force the commit record.
         home.journal.append(RecordType.COMMIT, txn.txn_id)
-        force = (protocol.coordinator_commit_ios if self.base.is_update
+        force = (protocol.coordinator_commit_ios if self._is_update
                  else protocol.readonly_commit_ios)
-        self._mark(clock, self.home, Phase.TC)
+        if clock is not None:
+            clock.mark(self.sim.now, self.home, Phase.TC)
         yield from home.tm_message(0.0, force_ios=force, clock=clock)
         # Round 2: COMMIT, in parallel.
         yield from self._parallel_round(txn, home,
                                         [self._commit_at(txn, s)
                                          for s in slaves], clock)
-        self._mark(clock, self.home, Phase.UL)
+        if clock is not None:
+            clock.mark(self.sim.now, self.home, Phase.UL)
         yield from self._release_site(txn, home)
 
     def _parallel_round(self, txn: Transaction, home: CaratNode,
@@ -500,9 +536,11 @@ class UserProcess:
             process = yield Fork(branch)
             processes.append(process)
         for process in processes:
-            self._mark(clock, self.home, Phase.CWC)
+            if clock is not None:
+                clock.mark(self.sim.now, self.home, Phase.CWC)
             yield Wait(process.completion)
-            self._mark(clock, self.home, Phase.TC)
+            if clock is not None:
+                clock.mark(self.sim.now, self.home, Phase.TC)
             yield from home.tm_message(costs.tm_cpu)
 
     def _prepare_at(self, txn: Transaction,
@@ -512,7 +550,7 @@ class UserProcess:
         costs = self._costs[node.name]
         yield Timeout(self.system.alpha_ms)
         force = 0
-        if self.base.is_update and protocol.slave_commit_ios >= 1:
+        if self._is_update and protocol.slave_commit_ios >= 1:
             node.journal.append(RecordType.PREPARE, txn.txn_id)
             force = 1
         self.system.trace(TraceEventKind.PREPARE, txn.txn_id,
@@ -527,7 +565,7 @@ class UserProcess:
         costs = self._costs[node.name]
         yield Timeout(self.system.alpha_ms)
         force = 0
-        if self.base.is_update and protocol.slave_commit_ios >= 2:
+        if self._is_update and protocol.slave_commit_ios >= 2:
             node.journal.append(RecordType.COMMIT, txn.txn_id)
             force = protocol.slave_commit_ios - 1
         yield from node.tm_message(costs.tm_cpu + protocol.commit_cpu,
@@ -541,7 +579,7 @@ class UserProcess:
         protocol = node.params.protocol
         state = txn.state(node.name)
         if state.held:
-            yield from node.cpu.use(
+            yield node.cpu.serve(
                 protocol.unlock_cpu_per_lock * len(state.held))
         node.locks.release_all(txn.txn_id)
         state.held.clear()
@@ -560,20 +598,23 @@ class UserProcess:
         for site in txn.touched_sites():
             node = self.system.nodes[site]
             protocol = node.params.protocol
-            self._mark(clock, node.name, Phase.TA)
+            if clock is not None:
+                clock.mark(self.sim.now, node.name, Phase.TA)
             if site != txn.home:
                 yield Timeout(self.system.alpha_ms)
             yield from node.tm_message(protocol.abort_message_cpu)
             state = txn.state(site)
             if state.before_images:
                 undo = len(state.before_images)
-                yield from node.cpu.use(
+                yield node.cpu.serve(
                     protocol.undo_cpu_per_granule * undo)
                 for granule, image in state.before_images.items():
                     node.storage.write_block(granule, image, flush=True)
-                self._mark(clock, node.name, Phase.TAIO)
+                if clock is not None:
+                    clock.mark(self.sim.now, node.name, Phase.TAIO)
                 yield from node.disk_write(
                     protocol.undo_ios_per_granule * undo)
                 node.journal.append(RecordType.ABORT, txn.txn_id)
-            self._mark(clock, node.name, Phase.UL)
+            if clock is not None:
+                clock.mark(self.sim.now, node.name, Phase.UL)
             yield from self._release_site(txn, node)

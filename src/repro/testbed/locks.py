@@ -49,7 +49,7 @@ class LockRequestOutcome(enum.Enum):
 class _Waiter:
     txn: str
     mode: LockMode
-    grant: Callable[[], None]
+    grant: Callable[[], None] | None
 
 
 @dataclass
@@ -111,7 +111,8 @@ class LockManager:
     # -- the protocol ----------------------------------------------------------
 
     def request(self, txn: str, granule: int, mode: LockMode,
-                grant: Callable[[], None]) -> LockRequestOutcome:
+                grant: Callable[[], None] | None = None,
+                ) -> LockRequestOutcome:
         """Request a lock; FIFO queue on conflict.
 
         Parameters
@@ -126,7 +127,9 @@ class LockManager:
             the paper's workload never mixes modes in one transaction.
         grant:
             Callback invoked when a *queued* request is finally
-            granted (immediate grants just return GRANTED).
+            granted (immediate grants just return GRANTED).  It may
+            instead be attached with :meth:`on_grant` once the request
+            returned BLOCKED, so that only blocked requests build one.
 
         Returns
         -------
@@ -136,7 +139,9 @@ class LockManager:
             requester is the victim and is *not* queued).
         """
         self.requests += 1
-        lock = self._locks.setdefault(granule, _Lock())
+        lock = self._locks.get(granule)
+        if lock is None:
+            lock = self._locks[granule] = _Lock()
         held = lock.holders.get(txn)
         if held is not None:
             if held is mode or held is LockMode.EXCLUSIVE:
@@ -157,6 +162,18 @@ class LockManager:
         lock.queue.append(_Waiter(txn, mode, grant))
         self._waiting_for[txn] = (granule, mode)
         return LockRequestOutcome.BLOCKED
+
+    def on_grant(self, txn: str, grant: Callable[[], None]) -> None:
+        """Attach the callback invoked when *txn*'s queued request is
+        granted (for a request made without one that returned
+        BLOCKED)."""
+        waiting = self._waiting_for.get(txn)
+        if waiting is None:
+            raise SimulationError(f"{txn} is not waiting at {self.site}")
+        for waiter in self._locks[waiting[0]].queue:
+            if waiter.txn == txn:
+                waiter.grant = grant
+                return
 
     def _grantable(self, lock: _Lock, mode: LockMode) -> bool:
         if lock.queue:

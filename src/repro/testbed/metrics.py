@@ -12,7 +12,19 @@ from dataclasses import dataclass, field
 
 from repro.model.types import BaseType
 
-__all__ = ["Metrics", "SiteMeasurement", "SimulationMeasurement"]
+__all__ = ["Metrics", "EventCounter", "SiteMeasurement",
+           "SimulationMeasurement"]
+
+
+class EventCounter:
+    """One (site, base, event-name) visit count, resolved once through
+    :meth:`Metrics.event_counter` and bumped with :meth:`Metrics.bump`,
+    so the hot path hashes no ``(site, BaseType, name)`` key."""
+
+    __slots__ = ("count",)
+
+    def __init__(self) -> None:
+        self.count = 0
 
 
 class Metrics:
@@ -36,9 +48,10 @@ class Metrics:
         self.lock_waits: dict[str, int] = defaultdict(int)
         #: generic per-(site, base, event-name) counters, used to
         #: validate the model's visit counts against the simulator
-        #: (e.g. "tm_msg", "lock_request", "granule_access")
-        self.events: dict[tuple[str, BaseType, str], int] = \
-            defaultdict(int)
+        #: (e.g. "tm_msg", "lock_request", "granule_access"); read
+        #: through :attr:`events`
+        self._event_counters: dict[tuple[str, BaseType, str],
+                                   EventCounter] = {}
         self.collecting = False
 
     def start_window(self, now: float) -> None:
@@ -53,7 +66,8 @@ class Metrics:
         self.deadlocks_local.clear()
         self.deadlocks_global.clear()
         self.lock_waits.clear()
-        self.events.clear()
+        for counter in self._event_counters.values():
+            counter.count = 0
         self.collecting = True
 
     # -- event hooks ---------------------------------------------------------
@@ -87,11 +101,34 @@ class Metrics:
         if self.collecting:
             self.lock_waits[site] += 1
 
+    def event_counter(self, site: str, base: BaseType,
+                      name: str) -> EventCounter:
+        """The counter of one (site, base, event-name) visit, created
+        on first use; resolve it once and :meth:`bump` it."""
+        key = (site, base, name)
+        counter = self._event_counters.get(key)
+        if counter is None:
+            counter = self._event_counters[key] = EventCounter()
+        return counter
+
+    def bump(self, counter: EventCounter, count: int = 1) -> None:
+        """Count *count* visits on a resolved counter (in the window)."""
+        if self.collecting:
+            counter.count += count
+
     def event(self, site: str, base: BaseType, name: str,
               count: int = 1) -> None:
         """Bump a generic visit counter (visit-count validation)."""
         if self.collecting:
-            self.events[(site, base, name)] += count
+            self.event_counter(site, base, name).count += count
+
+    @property
+    def events(self) -> dict[tuple[str, BaseType, str], int]:
+        """Visits counted in the window per (site, base, event-name),
+        for the events that occurred."""
+        return {key: counter.count
+                for key, counter in self._event_counters.items()
+                if counter.count}
 
     def events_per_commit(self, site: str, base: BaseType,
                           name: str) -> float:
@@ -100,7 +137,8 @@ class Metrics:
         commits = self.commits.get((site, base), 0)
         if commits == 0:
             return 0.0
-        return self.events.get((site, base, name), 0) / commits
+        counter = self._event_counters.get((site, base, name))
+        return (counter.count if counter is not None else 0) / commits
 
 
 @dataclass(frozen=True)

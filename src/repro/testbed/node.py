@@ -56,19 +56,19 @@ class CaratNode:
         """Perform *count* database-disk block reads (buffer hits are
         decided by the caller)."""
         for _ in range(count):
-            yield from self.disk.use(self.params.block_io_ms)
+            yield self.disk.serve(self.params.block_io_ms)
             self.metrics.disk_io(self.name)
 
     def disk_write(self, count: int = 1) -> Generator:
         """Perform *count* database-disk block writes."""
         for _ in range(count):
-            yield from self.disk.use(self.params.block_io_ms)
+            yield self.disk.serve(self.params.block_io_ms)
             self.metrics.disk_io(self.name)
 
     def log_force(self, count: int = 1) -> Generator:
         """Force-write *count* journal blocks to the log device."""
         for _ in range(count):
-            yield from self.log_disk.use(self.params.block_io_ms)
+            yield self.log_disk.serve(self.params.block_io_ms)
             self.metrics.disk_io(self.name)
             self.journal.force()
 
@@ -86,7 +86,7 @@ class CaratNode:
         """
         yield from self.tm.acquire()
         try:
-            yield from self.cpu.use(cpu_ms)
+            yield self.cpu.serve(cpu_ms)
             if force_ios:
                 if clock is not None:
                     clock.mark(self.sim.now, self.name, Phase.TCIO)

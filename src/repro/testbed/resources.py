@@ -14,11 +14,11 @@ from collections.abc import Generator
 from typing import Any
 
 from repro.errors import SimulationError
-from repro.testbed.des import Event, Simulator, Timeout, Wait
+from repro.testbed.des import Event, Serve, Simulator, Timeout, Wait
 
 __all__ = ["FcfsResource", "CountingPool", "Mailbox"]
 
-#: Shared zero-delay step: a request served at once still costs one
+#: Shared zero-delay step: a request granted at once still costs one
 #: scheduling step at ``now``, exactly like waking on a fired event.
 _NOW = Timeout(0.0)
 
@@ -26,15 +26,21 @@ _NOW = Timeout(0.0)
 class FcfsResource:
     """A single exponential-or-deterministic server with a FIFO queue.
 
-    Processes call ``yield from resource.use(duration)`` to queue for
-    the server, hold it for ``duration`` time units, and release it.
+    Processes ``yield resource.serve(duration)`` to queue for the
+    server, hold it for ``duration`` time units and release it; the
+    kernel runs the service (:class:`~repro.testbed.des.Serve`).
+    Critical sections that wait on other things while holding the
+    server use ``yield from resource.acquire()`` and
+    :meth:`release`.  Both kinds of request wait in the same FIFO.
     """
 
     def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
         self._busy = False
-        self._queue: deque[Event] = deque()
+        #: waiting requests, in arrival order: a queued ``Serve``, or
+        #: the grant event of an ``acquire``
+        self._queue: deque[Serve | Event] = deque()
         # Statistics.
         self.busy_time = 0.0
         self.completions = 0
@@ -50,14 +56,11 @@ class FcfsResource:
         if self._busy:
             self._busy_since = self.sim.now
 
-    def use(self, duration: float) -> Generator:
-        """Queue for the server, hold it for *duration*, release it."""
-        if duration < 0:
-            raise SimulationError(f"negative service time {duration}")
-        grant = self._request()
-        yield _NOW if grant is None else Wait(grant)
-        yield Timeout(duration)
-        self._release()
+    def serve(self, duration: float) -> Serve:
+        """The command ``yield resource.serve(duration)``: queue for the
+        server, hold it for *duration*, release it.  A negative
+        *duration* is a :class:`~repro.errors.SimulationError` here."""
+        return Serve(self, duration)
 
     def acquire(self) -> Generator:
         """Queue for the server and hold it until :meth:`release`.
@@ -65,32 +68,29 @@ class FcfsResource:
         For critical sections that interleave other waits while holding
         the resource (e.g. the TM server force-writing a log record).
         """
-        grant = self._request()
-        yield _NOW if grant is None else Wait(grant)
-
-    def release(self) -> None:
-        """Release a hold taken with :meth:`acquire`."""
-        self._release()
-
-    def _request(self) -> Event | None:
-        """Take the idle server (None) or queue for it (the grant
-        event, fired on hand-over)."""
         if not self._busy and not self._queue:
             self._busy = True
             self._busy_since = self.sim.now
-            return None
+            yield _NOW
+            return
         grant = self.sim.event()
         self._queue.append(grant)
-        return grant
+        yield Wait(grant)
 
-    def _release(self) -> None:
+    def release(self) -> None:
+        """Release the server: a hold taken with :meth:`acquire`, or a
+        ``Serve`` at its completion (the kernel calls this)."""
         if not self._busy:
             raise SimulationError(f"release of idle resource {self.name}")
         self.completions += 1
         if self._queue:
-            # Hand over directly; the server stays busy.
-            grant = self._queue.popleft()
-            grant.fire()
+            # Hand over directly; the server stays busy.  A queued
+            # Serve starts now, at the step a fired grant would take.
+            head = self._queue.popleft()
+            if isinstance(head, Serve):
+                self.sim._wake(head.process, head)
+            else:
+                head.fire()
         else:
             self._busy = False
             self.busy_time += self.sim.now - self._busy_since

@@ -195,6 +195,7 @@ class CaratSimulation:
 
     def _collect(self) -> SimulationMeasurement:
         elapsed = self.sim.now - self.metrics.window_start
+        events = self.metrics.events
         sites: dict[str, SiteMeasurement] = {}
         for name, node in self.nodes.items():
             commits = {}
@@ -214,7 +215,7 @@ class CaratSimulation:
                     self.metrics.response_samples.get(key, []))
                 records[base] = self.metrics.records_sum.get(key, 0.0)
                 event_names = sorted(
-                    n for (s, b, n) in self.metrics.events
+                    n for (s, b, n) in events
                     if s == name and b is base)
                 if event_names and commits[base]:
                     visits[base] = {

@@ -135,7 +135,7 @@ class SpanClock:
     """
 
     __slots__ = ("telemetry", "home", "base", "started_at", "txn_id",
-                 "attempts", "_site", "_phase", "_since", "spans")
+                 "attempts", "_site", "_phase", "_since", "_sums")
 
     def __init__(self, telemetry: Telemetry, home: str, base: BaseType,
                  now: float):
@@ -146,31 +146,36 @@ class SpanClock:
         self.txn_id = ""
         self.attempts = 0
         self._site = home
-        self._phase = Phase.INIT
+        self._phase = Phase.INIT._name_
         self._since = now
-        self.spans: dict[tuple[str, Phase], float] = {}
+        #: ms per (site, phase name), in first-accrual order; keyed by
+        #: the name because a str caches its hash and an Enum member
+        #: hashes through the Python-level ``Enum.__hash__``
+        self._sums: dict[tuple[str, str], float] = {}
 
     def mark(self, now: float, site: str, phase: Phase) -> None:
         """Enter a new (site, phase) state at time *now*."""
         self._accrue(now)
         self._site = site
-        self._phase = phase
+        self._phase = phase._name_
 
     def _accrue(self, now: float) -> None:
         elapsed = now - self._since
         if elapsed > 0.0:
             key = (self._site, self._phase)
-            self.spans[key] = self.spans.get(key, 0.0) + elapsed
+            self._sums[key] = self._sums.get(key, 0.0) + elapsed
         self._since = now
 
     def close(self, now: float, collecting: bool) -> None:
         """Finish the cycle at commit time and hand the record over."""
         self._accrue(now)
+        spans = {(site, Phase[name]): ms
+                 for (site, name), ms in self._sums.items()}
         self.telemetry.record_cycle(
             TransactionSpans(
                 txn_id=self.txn_id, home=self.home, base=self.base,
                 started_at=self.started_at, finished_at=now,
-                attempts=self.attempts, spans=self.spans),
+                attempts=self.attempts, spans=spans),
             collecting=collecting)
 
 
@@ -251,9 +256,10 @@ class Telemetry:
         self.spans_dropped = 0
         self.samples_recorded = 0
         self.samples_dropped = 0
-        #: running span sums per (home, base, span-site, phase), ms
-        self._phase_sums: dict[tuple[str, BaseType, str, Phase], float] \
-            = defaultdict(float)
+        #: running span sums per (home, base), then per (span-site,
+        #: phase name), ms (names for the reason ``SpanClock`` uses them)
+        self._phase_sums: dict[tuple[str, BaseType],
+                               dict[tuple[str, str], float]] = {}
         #: committed cycles per (home, base) included in the sums
         self._cycles: dict[tuple[str, BaseType], int] = defaultdict(int)
         self._attempts: dict[tuple[str, BaseType], int] = defaultdict(int)
@@ -285,9 +291,12 @@ class Telemetry:
         key = (record.home, record.base)
         self._cycles[key] += 1
         self._attempts[key] += record.attempts
+        sums = self._phase_sums.get(key)
+        if sums is None:
+            sums = self._phase_sums[key] = {}
         for (site, phase), ms in record.spans.items():
-            self._phase_sums[(record.home, record.base, site, phase)] \
-                += ms
+            span = (site, phase._name_)
+            sums[span] = sums.get(span, 0.0) + ms
 
     # ------------------------------------------------------------------
     # probe sampling (called by the system's probe process)
@@ -379,9 +388,8 @@ class Telemetry:
         if cycles == 0:
             return {}
         return {
-            (site, phase): total / cycles
-            for (h, b, site, phase), total in self._phase_sums.items()
-            if h == home and b == base
+            (site, Phase[name]): total / cycles
+            for (site, name), total in self._phase_sums[(home, base)].items()
         }
 
     def mean_phase_response_ms(self, home: str, base: BaseType) -> float:

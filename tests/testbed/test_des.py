@@ -1,9 +1,16 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import sys
+
 import pytest
 
 from repro.errors import SimulationError
+from repro.model.parameters import paper_sites
+from repro.model.workload import mb8
 from repro.testbed.des import Fork, Simulator, Timeout, Wait
+from repro.testbed.executor import ABORTED
+from repro.testbed.resources import FcfsResource
+from repro.testbed.system import CaratSimulation, SimulationConfig
 
 
 class TestTimeouts:
@@ -150,6 +157,97 @@ class TestEvents:
         event.fire()
         with pytest.raises(SimulationError):
             event.fire()
+
+
+class TestServeCommand:
+    def test_queued_serve_of_a_done_process_is_ignored(self):
+        """The hand-over schedules the queued Serve's start; a process
+        marked done is not resumed and its service never begins."""
+        sim = Simulator()
+        res = FcfsResource(sim, "cpu")
+        log = []
+
+        def proc(name, duration):
+            yield res.serve(duration)
+            log.append((name, sim.now))
+
+        sim.spawn(proc("first", 5.0))
+        queued = sim.spawn(proc("queued", 1.0))
+        sim.run(until=2.0)
+        assert res.queue_length == 1
+        queued.done = True
+        sim.run()
+        assert log == [("first", 5.0)]
+        assert sim.now == 5.0          # no completion was scheduled
+        assert res.completions == 1
+        assert res.queue_length == 0
+
+    def test_completion_of_a_done_process_is_ignored(self):
+        """A process marked done while in service is neither resumed
+        nor does its completion release the server."""
+        sim = Simulator()
+        res = FcfsResource(sim, "cpu")
+        log = []
+
+        def proc():
+            yield res.serve(5.0)
+            log.append(sim.now)
+
+        process = sim.spawn(proc())
+        sim.run(until=2.0)
+        process.done = True
+        sim.run()
+        assert log == []
+        assert res.completions == 0
+        assert sim.now == 5.0
+        assert res.utilization() == 1.0    # still held
+
+    def test_serve_is_one_resume_per_service(self):
+        sim = Simulator()
+        res = FcfsResource(sim, "cpu")
+        resumes = []
+
+        def proc():
+            for _ in range(3):
+                yield res.serve(2.0)
+                resumes.append(sim.now)
+
+        sim.spawn(proc())
+        sim.run()
+        assert resumes == [2.0, 4.0, 6.0]
+        # spawn, then a start and a completion entry per service
+        assert sim._steps == 7
+
+
+class TestLockWaitEvents:
+    def test_only_blocked_lock_requests_create_an_event(self):
+        """On the seeded MB8 n=20 run with global deadlocks, the
+        executor makes a lock-wait ``Event`` exactly for the requests
+        that block, and the global-deadlock victims are still woken
+        with ABORTED through it."""
+        simulation = CaratSimulation(SimulationConfig(
+            workload=mb8(20), sites=paper_sites(), seed=3,
+            warmup_ms=0.0, duration_ms=60_000.0))
+        make_event = simulation.sim.event
+        lock_events = []
+
+        def spy():
+            event = make_event()
+            if sys._getframe(1).f_code.co_name == "_acquire_lock":
+                lock_events.append(event)
+            return event
+
+        simulation.sim.event = spy
+        simulation.run()
+        managers = [node.locks for node in simulation.nodes.values()]
+        requests = sum(m.requests for m in managers)
+        blocked = sum(m.blocks - m.local_deadlocks for m in managers)
+        assert len(lock_events) == blocked
+        assert blocked == sum(simulation.metrics.lock_waits.values())
+        assert 0 < blocked < requests / 10
+        payloads = [event.payload for event in lock_events if event.fired]
+        assert payloads.count(ABORTED) == \
+            simulation.detector.deadlocks_found == 2
 
 
 class TestForkAndCompletion:

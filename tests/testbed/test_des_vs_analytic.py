@@ -24,7 +24,7 @@ def _drive(lam, service_sampler, horizon=400_000.0, seed=3):
 
     def customer(service):
         start = sim.now
-        yield from resource.use(service)
+        yield resource.serve(service)
         responses.append(sim.now - start)
 
     from repro.testbed.des import Fork

@@ -54,6 +54,30 @@ class TestMetricsWindow:
         assert metrics.events_per_commit(
             "A", BaseType.DRO, "tm_msg") == 0.0
 
+    def test_resolved_counters_share_the_event_counts(self):
+        """A counter resolved once and bumped counts into the same
+        (site, base, name) entry as :meth:`Metrics.event`, only inside
+        the window, and a new window restarts it from zero."""
+        metrics = Metrics()
+        counter = metrics.event_counter("A", BaseType.LU, "tm_msg")
+        assert metrics.event_counter("A", BaseType.LU, "tm_msg") is counter
+        metrics.bump(counter)                       # before the window
+        assert metrics.events == {}
+        metrics.start_window(0.0)
+        metrics.bump(counter)
+        metrics.bump(counter, 2)
+        metrics.event("A", BaseType.LU, "tm_msg")
+        metrics.event("B", BaseType.LU, "slave_tm_msg")
+        metrics.commit("A", BaseType.LU, 100.0, 32.0)
+        assert metrics.events == {("A", BaseType.LU, "tm_msg"): 4,
+                                  ("B", BaseType.LU, "slave_tm_msg"): 1}
+        assert metrics.events_per_commit(
+            "A", BaseType.LU, "tm_msg") == 4.0
+        metrics.start_window(10.0)
+        assert metrics.events == {}
+        metrics.bump(counter)
+        assert metrics.events == {("A", BaseType.LU, "tm_msg"): 1}
+
 
 class TestPercentiles:
     def test_median_of_odd_list(self):

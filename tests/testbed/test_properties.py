@@ -63,7 +63,7 @@ class TestFcfsResourceProperties:
         done = []
 
         def proc(duration):
-            yield from resource.use(duration)
+            yield resource.serve(duration)
             done.append(sim.now)
 
         for duration in services:
@@ -82,7 +82,7 @@ class TestFcfsResourceProperties:
         order = []
 
         def proc(index, duration):
-            yield from resource.use(duration)
+            yield resource.serve(duration)
             order.append(index)
 
         for index, duration in enumerate(services):

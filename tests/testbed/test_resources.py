@@ -1,9 +1,11 @@
 """Unit tests for FCFS resources, pools and mailboxes."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.testbed.des import Simulator, Timeout
+from repro.testbed.des import Fork, Serve, Simulator, Timeout
 from repro.testbed.resources import CountingPool, FcfsResource, Mailbox
 
 
@@ -15,7 +17,7 @@ class TestFcfsResource:
 
         def proc(name, arrival):
             yield Timeout(arrival)
-            yield from res.use(10.0)
+            yield res.serve(10.0)
             log.append((name, sim.now))
 
         sim.spawn(proc("first", 0.0))
@@ -30,7 +32,7 @@ class TestFcfsResource:
         res = FcfsResource(sim, "disk")
 
         def proc():
-            yield from res.use(30.0)
+            yield res.serve(30.0)
 
         sim.spawn(proc())
         sim.run(until=100.0)
@@ -42,7 +44,7 @@ class TestFcfsResource:
         res = FcfsResource(sim, "disk")
 
         def proc():
-            yield from res.use(80.0)
+            yield res.serve(80.0)
 
         sim.spawn(proc())
         sim.run(until=40.0)
@@ -53,10 +55,10 @@ class TestFcfsResource:
         res = FcfsResource(sim, "disk")
 
         def proc():
-            yield from res.use(10.0)
+            yield res.serve(10.0)
             res.reset_stats()
             yield Timeout(10.0)
-            yield from res.use(10.0)
+            yield res.serve(10.0)
 
         sim.spawn(proc())
         sim.run()
@@ -77,7 +79,7 @@ class TestFcfsResource:
 
         def contender():
             yield Timeout(1.0)
-            yield from res.use(5.0)
+            yield res.serve(5.0)
             log.append(("contender-out", sim.now))
 
         sim.spawn(holder())
@@ -95,7 +97,7 @@ class TestFcfsResource:
         sim = Simulator()
         res = FcfsResource(sim, "cpu")
         with pytest.raises(SimulationError):
-            list(res.use(-1.0))
+            res.serve(-1.0)
 
     def test_simultaneous_requests_on_idle_server(self):
         """Two requests at the same instant: the first takes the idle
@@ -106,7 +108,7 @@ class TestFcfsResource:
         log = []
 
         def proc(name):
-            yield from res.use(10.0)
+            yield res.serve(10.0)
             log.append((name, sim.now))
 
         sim.spawn(proc("a"))
@@ -119,6 +121,146 @@ class TestFcfsResource:
         assert res.completions == 2
         assert res.busy_time == 20.0
 
+
+class TestServe:
+    """``yield resource.serve(d)`` is a kernel command; ``acquire`` /
+    ``release`` holders wait in the same FIFO."""
+
+    def test_serve_returns_the_command(self):
+        sim = Simulator()
+        res = FcfsResource(sim, "cpu")
+        command = res.serve(2.5)
+        assert isinstance(command, Serve)
+        assert command.resource is res and command.delay == 2.5
+        assert repr(command) == "Serve('cpu', 2.5)"
+
+    def test_handover_from_holder_to_queued_serves(self):
+        sim = Simulator()
+        res = FcfsResource(sim, "tm")
+        log = []
+
+        def holder():
+            yield from res.acquire()
+            yield Timeout(10.0)
+            res.release()
+            log.append(("holder", sim.now))
+
+        def server(name, arrival, duration):
+            yield Timeout(arrival)
+            yield res.serve(duration)
+            log.append((name, sim.now))
+
+        sim.spawn(holder())
+        sim.spawn(server("s1", 1.0, 3.0))
+        sim.spawn(server("s2", 2.0, 4.0))
+        sim.run()
+        assert log == [("holder", 10.0), ("s1", 13.0), ("s2", 17.0)]
+        assert res.completions == 3
+        assert res.busy_time == 17.0
+
+    def test_mixed_queue_is_fifo(self):
+        """Serves and acquire holders queued behind one server are
+        granted strictly in arrival order, whichever kind releases."""
+        sim = Simulator()
+        res = FcfsResource(sim, "tm")
+        log = []
+
+        def server(name, arrival, duration):
+            yield Timeout(arrival)
+            yield res.serve(duration)
+            log.append((name, "out", sim.now))
+
+        def holder(name, arrival, hold):
+            yield Timeout(arrival)
+            yield from res.acquire()
+            log.append((name, "in", sim.now))
+            yield Timeout(hold)
+            res.release()
+
+        sim.spawn(server("s1", 0.0, 5.0))
+        sim.spawn(holder("h1", 1.0, 2.0))
+        sim.spawn(server("s2", 2.0, 1.0))
+        sim.spawn(holder("h2", 3.0, 4.0))
+        sim.spawn(server("s3", 4.0, 3.0))
+
+        def probe():
+            yield Timeout(4.5)
+            log.append(("queue", res.queue_length, sim.now))
+
+        sim.spawn(probe())
+        sim.run()
+        assert log == [("queue", 4, 4.5),
+                       ("s1", "out", 5.0), ("h1", "in", 5.0),
+                       ("s2", "out", 8.0), ("h2", "in", 8.0),
+                       ("s3", "out", 15.0)]
+        assert res.completions == 5
+        assert res.queue_length == 0
+        assert res.busy_time == 15.0
+
+    def test_negative_duration_raises_at_the_call_site(self):
+        sim = Simulator()
+        res = FcfsResource(sim, "cpu")
+        reached = []
+
+        def proc():
+            yield Timeout(1.0)
+            command = res.serve(-0.5)
+            reached.append(command)      # never runs
+            yield command
+
+        sim.spawn(proc())
+        with pytest.raises(SimulationError, match="negative service"):
+            sim.run()
+        assert reached == []
+        assert sim.now == 1.0
+        assert res.completions == 0 and res.queue_length == 0
+
+    def test_matches_acquire_timeout_release_on_seeded_mm1(self):
+        """The kernel-run service and the generator protocol it
+        replaced (take the server, ``Timeout``, release) schedule the
+        same heap entries: same steps, same responses, same resource
+        statistics and queue lengths at every probe."""
+        def former_use(res, duration):
+            yield from res.acquire()
+            yield Timeout(duration)
+            res.release()
+
+        def run(use_serve):
+            sim = Simulator()
+            res = FcfsResource(sim, "q")
+            rng = random.Random(42)
+            responses, queue = [], []
+
+            def customer(duration):
+                start = sim.now
+                if use_serve:
+                    yield res.serve(duration)
+                else:
+                    yield from former_use(res, duration)
+                responses.append(sim.now - start)
+
+            def source():
+                while True:
+                    yield Timeout(rng.expovariate(0.8))
+                    yield Fork(customer(rng.expovariate(1.0)))
+
+            def probe():
+                while True:
+                    yield Timeout(25.0)
+                    queue.append(res.queue_length)
+
+            sim.spawn(source())
+            sim.spawn(probe())
+            sim.run(until=1_000.0)
+            res.reset_stats()
+            sim.run(until=5_000.0)
+            return (sim._steps, responses, queue, res.busy_time,
+                    res.completions, res.utilization())
+
+        served, former = run(True), run(False)
+        assert served == former
+        assert served[4] > 3_000          # completions in the window
+        assert max(served[2]) > 1         # the queue did build up
 
 class TestCountingPool:
     def test_blocks_when_exhausted(self):

@@ -40,6 +40,22 @@ class TestSpanClock:
         assert record.total_ms() == pytest.approx(record.response_ms)
         assert record.response_ms == pytest.approx(18.0)
 
+    def test_spans_keep_first_entry_order_and_accumulate(self):
+        telemetry = Telemetry()
+        clock = telemetry.start_cycle("A", BaseType.DU, 0.0)
+        clock.mark(1.0, "A", Phase.TM)        # 1 ms of INIT
+        clock.mark(3.0, "B", Phase.DM)        # 2 ms of TM at A
+        clock.mark(4.0, "A", Phase.TM)        # 1 ms of DM at B
+        clock.mark(4.0, "A", Phase.RW)        # zero-length TM: no time
+        clock.mark(6.0, "A", Phase.TM)        # 2 ms of RW at A
+        clock.close(10.0, collecting=True)    # 4 more ms of TM at A
+        record = telemetry.spans[0]
+        assert list(record.spans.items()) == [
+            (("A", Phase.INIT), 1.0), (("A", Phase.TM), 6.0),
+            (("B", Phase.DM), 1.0), (("A", Phase.RW), 2.0)]
+        assert telemetry.phase_breakdown("A", BaseType.DU) == \
+            record.spans
+
     def test_spans_disabled_returns_none(self):
         telemetry = Telemetry(record_spans=False)
         assert telemetry.start_cycle("A", BaseType.LRO, 0.0) is None
