@@ -73,14 +73,6 @@ SUITE = ("fig5", "fig8", "tab3", "tab4")
 #: Batch size of the kernel microbenchmark's stacked-grid solve.
 KERNEL_BATCH = 64
 
-#: Timed samples behind each kernel wall time, and behind the open
-#: search's.  A shared host's speed drifts over seconds, so a best of
-#: two or three samples often has no quiet one (36-61% over the
-#: baseline on a 2-vCPU host); a dozen kernel samples over about two
-#: seconds, and five open searches over about 2.5 s, more often do.
-KERNEL_REPEATS = 12
-OPEN_REPEATS = 5
-
 #: Experiment whose cold sweep the outer benchmark times (tab3 is the
 #: MB8 distributed-update sweep — the heaviest of the suite).
 OUTER_SWEEP = "tab3"
@@ -262,25 +254,20 @@ def _large_exact_inputs():
     return demands, mask, np.full(6, 6, dtype=np.int64)
 
 
-def run_kernel_bench(
-    batch: int = KERNEL_BATCH, repeats: int = KERNEL_REPEATS
-) -> BenchRecord:
+def run_kernel_bench(batch: int = KERNEL_BATCH, repeats: int = 3) -> BenchRecord:
     """Time the MVA kernels: one exact solve, a Schweitzer loop over
     *batch* networks, the same batch as one stacked call, and one exact
     batch at the planner's largest lattice (``large_exact``, with the
     lattice index already cached, as in the fixed point's repeated
     solves).
 
-    Timings take the best of *repeats* samples (noise only ever slows
-    a run down).  The loop is timed per network, so ``single_approx``
-    is the mean over the *batch* networks of each one's fastest solve:
-    a short slow spell costs one network one sample, not the whole
-    loop.  The loop and the batch solve the *same* networks, so
-    ``speedup["batch"]`` — the per-solve gain of one stacked
-    :func:`~repro.queueing.mva_approx.solve_mva_approx_batch` call
-    over looping :func:`~repro.queueing.mva_approx.solve_mva_approx`,
-    each the best of whole passes over the batch — is a like-for-like
-    comparison through the public dict-based adapters.
+    Timings take the best of *repeats* repetitions (noise only ever
+    slows a run down); the loop and the batch solve the *same*
+    networks, so ``speedup["batch"]`` — the per-solve gain of one
+    stacked :func:`~repro.queueing.mva_approx.solve_mva_approx_batch`
+    call over looping
+    :func:`~repro.queueing.mva_approx.solve_mva_approx` — is a
+    like-for-like comparison through the public dict-based adapters.
     """
     from repro.queueing.kernels import solve_exact_batch
     from repro.queueing.mva_approx import solve_mva_approx, solve_mva_approx_batch
@@ -289,22 +276,18 @@ def run_kernel_bench(
     networks = _kernel_networks(batch)
     large = _large_exact_inputs()
     solve_exact_batch(*large)
-    best_exact = best_pass = best_batch = best_large = float("inf")
-    best_each = [float("inf")] * batch
+    best_exact = best_loop = best_batch = best_large = float("inf")
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
         solve_mva_exact(networks[0])
         t1 = time.perf_counter()
         best_exact = min(best_exact, (t1 - t0) * 1e6)
 
-        one_pass = 0.0
-        for i, network in enumerate(networks):
-            t0 = time.perf_counter()
+        t0 = time.perf_counter()
+        for network in networks:
             solve_mva_approx(network)
-            t1 = time.perf_counter()
-            one_pass += (t1 - t0) * 1e6
-            best_each[i] = min(best_each[i], (t1 - t0) * 1e6)
-        best_pass = min(best_pass, one_pass)
+        t1 = time.perf_counter()
+        best_loop = min(best_loop, (t1 - t0) * 1e6 / batch)
 
         t0 = time.perf_counter()
         solve_mva_approx_batch(networks)
@@ -322,11 +305,11 @@ def run_kernel_bench(
         name="kernels",
         wall_ms={
             "single_exact": best_exact / 1e3,
-            "single_approx": sum(best_each) / batch / 1e3,
+            "single_approx": best_loop / 1e3,
             "batch_per_solve": per_solve / 1e3,
             "large_exact": best_large / 1e3,
         },
-        speedup={"batch": best_pass / best_batch},
+        speedup={"batch": best_loop / per_solve},
         detail={"batch_size": batch, "batch_us": best_batch},
     )
 
@@ -426,7 +409,7 @@ def run_des_bench(n: int = DES_N, repeats: int = 2) -> BenchRecord:
     )
 
 
-def run_open_bench(repeats: int = OPEN_REPEATS) -> BenchRecord:
+def run_open_bench(repeats: int = 2) -> BenchRecord:
     """Time one :func:`~repro.planner.search.slo_max_arrival_per_s`
     query (``OPEN_MIX`` at ``OPEN_N``, ``OPEN_TARGET_MS`` target).
 

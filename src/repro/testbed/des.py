@@ -17,7 +17,9 @@ generators that ``yield`` *commands*:
     and release it (made by
     :meth:`~repro.testbed.resources.FcfsResource.serve`).  The kernel
     runs the whole service: the process resumes once, after the
-    release.
+    release.  With ``delay=None`` the server is held until the
+    process releases it
+    (:meth:`~repro.testbed.resources.FcfsResource.acquire`).
 
 The kernel is deterministic: simultaneous events fire in scheduling
 order.  Each heap entry is a ``(time, seq, process, payload)`` tuple
@@ -115,21 +117,23 @@ class Fork:
 
 class Serve:
     """Yieldable: queue for *resource*, hold it for ``delay`` time units,
-    release it.
+    release it; or, with ``delay=None``, hold it until the process
+    calls ``resource.release()``.
 
-    The kernel reads and updates *resource*'s ``_busy``/``_busy_since``
-    /``_queue`` state and calls its ``release`` at completion.  A service takes
-    two heap entries, like a request waking on a grant followed by a
-    ``Timeout``: the start at the time the server is taken (now when
-    it is idle, the hand-over instant when queued), then the
+    The kernel passes the command to ``resource._take``: on an idle
+    server the kernel schedules the start at once; on a busy one the
+    command waits in the resource's FIFO until ``release`` hands the
+    server over and schedules its start.  A timed service takes two
+    heap entries, like a request waking on a grant followed by a
+    ``Timeout``: the start at the time the server is taken, then the
     completion ``delay`` later, which releases the server and resumes
-    the process.
+    the process.  A hold takes one: its start resumes the process.
     """
 
     __slots__ = ("resource", "delay", "process", "started")
 
-    def __init__(self, resource: FcfsResource, delay: float):
-        if delay < 0:
+    def __init__(self, resource: FcfsResource, delay: float | None):
+        if delay is not None and delay < 0:
             raise SimulationError(f"negative service time {delay}")
         self.resource = resource
         self.delay = delay
@@ -238,7 +242,10 @@ class Simulator:
         if process.done:
             return
         if isinstance(payload, Serve):
-            if not payload.started:
+            if payload.started:
+                # Service completion: hand the server over, then resume.
+                payload.resource.release()
+            elif payload.delay is not None:
                 # Service start: schedule the completion; the process
                 # stays suspended.
                 payload.started = True
@@ -246,8 +253,7 @@ class Simulator:
                 heappush(self._heap, (self.now + payload.delay,
                                       self._seq, process, payload))
                 return
-            # Service completion: hand the server over, then resume.
-            payload.resource.release()
+            # (A hold's start resumes the holder.)
             payload = None
         generator = process.generator
         try:
@@ -257,12 +263,7 @@ class Simulator:
                     # delay >= 0 was checked when the Serve was made.
                     command.process = process
                     command.started = False
-                    resource = command.resource
-                    if resource._busy or resource._queue:
-                        resource._queue.append(command)
-                    else:
-                        resource._busy = True
-                        resource._busy_since = self.now
+                    if command.resource._take(command):
                         self._seq += 1
                         heappush(self._heap, (self.now, self._seq,
                                               process, command))

@@ -24,10 +24,10 @@ from typing import TYPE_CHECKING
 
 from repro.model.types import BASE_TO_USER_CHAIN, BaseType, Phase
 from repro.testbed.des import Fork, Timeout, Wait
-from repro.testbed.locks import LockMode, LockRequestOutcome
+from repro.testbed.locks import LockRequestOutcome
 from repro.testbed.node import CaratNode
 from repro.testbed.tracing import TraceEventKind
-from repro.testbed.transactions import Transaction
+from repro.testbed.transactions import Transaction, lock_mode_of
 from repro.testbed.wal import RecordType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -80,8 +80,7 @@ class UserProcess:
         # (site, BaseType, name) key per request.
         self._is_update = base.is_update
         self._is_distributed = base.is_distributed
-        self._lock_mode = (LockMode.EXCLUSIVE if self._is_update
-                           else LockMode.SHARED)
+        self._lock_mode = lock_mode_of(base)
         counter = system.metrics.event_counter
         self._tm_msgs = counter(home, base, "tm_msg")
         self._slave_tm_msgs = {name: counter(name, base, "slave_tm_msg")

@@ -110,9 +110,8 @@ class LockManager:
 
     # -- the protocol ----------------------------------------------------------
 
-    def request(self, txn: str, granule: int, mode: LockMode,
-                grant: Callable[[], None] | None = None,
-                ) -> LockRequestOutcome:
+    def request(self, txn: str, granule: int,
+                mode: LockMode) -> LockRequestOutcome:
         """Request a lock; FIFO queue on conflict.
 
         Parameters
@@ -125,18 +124,15 @@ class LockManager:
             Requested mode.  Upgrades (S held, X requested) are
             rejected as a :class:`~repro.errors.SimulationError` —
             the paper's workload never mixes modes in one transaction.
-        grant:
-            Callback invoked when a *queued* request is finally
-            granted (immediate grants just return GRANTED).  It may
-            instead be attached with :meth:`on_grant` once the request
-            returned BLOCKED, so that only blocked requests build one.
 
         Returns
         -------
         LockRequestOutcome
             GRANTED, BLOCKED, or DEADLOCK when queueing this request
             would close a cycle in the local wait-for graph (the
-            requester is the victim and is *not* queued).
+            requester is the victim and is *not* queued).  A BLOCKED
+            requester attaches its grant callback with
+            :meth:`on_grant` before the lock can be handed over.
         """
         self.requests += 1
         lock = self._locks.get(granule)
@@ -159,14 +155,13 @@ class LockManager:
         if self._closes_cycle(txn, lock, mode):
             self.local_deadlocks += 1
             return LockRequestOutcome.DEADLOCK
-        lock.queue.append(_Waiter(txn, mode, grant))
+        lock.queue.append(_Waiter(txn, mode, None))
         self._waiting_for[txn] = (granule, mode)
         return LockRequestOutcome.BLOCKED
 
     def on_grant(self, txn: str, grant: Callable[[], None]) -> None:
         """Attach the callback invoked when *txn*'s queued request is
-        granted (for a request made without one that returned
-        BLOCKED)."""
+        granted (after :meth:`request` returned BLOCKED)."""
         waiting = self._waiting_for.get(txn)
         if waiting is None:
             raise SimulationError(f"{txn} is not waiting at {self.site}")
@@ -236,6 +231,10 @@ class LockManager:
                              for held in lock.holders.values())
             if not compatible:
                 return
+            if head.grant is None:
+                raise SimulationError(
+                    f"{head.txn} is granted granule {granule} at "
+                    f"{self.site} but attached no on_grant callback")
             lock.queue.popleft()
             lock.holders[head.txn] = head.mode
             self._waiting_for.pop(head.txn, None)

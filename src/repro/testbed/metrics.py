@@ -116,12 +116,6 @@ class Metrics:
         if self.collecting:
             counter.count += count
 
-    def event(self, site: str, base: BaseType, name: str,
-              count: int = 1) -> None:
-        """Bump a generic visit counter (visit-count validation)."""
-        if self.collecting:
-            self.event_counter(site, base, name).count += count
-
     @property
     def events(self) -> dict[tuple[str, BaseType, str], int]:
         """Visits counted in the window per (site, base, event-name),

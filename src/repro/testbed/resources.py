@@ -31,16 +31,16 @@ class FcfsResource:
     kernel runs the service (:class:`~repro.testbed.des.Serve`).
     Critical sections that wait on other things while holding the
     server use ``yield from resource.acquire()`` and
-    :meth:`release`.  Both kinds of request wait in the same FIFO.
+    :meth:`release`.  Both kinds of request are ``Serve`` commands
+    and wait in the same FIFO.
     """
 
     def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
         self._busy = False
-        #: waiting requests, in arrival order: a queued ``Serve``, or
-        #: the grant event of an ``acquire``
-        self._queue: deque[Serve | Event] = deque()
+        #: waiting requests (timed ``Serve`` or hold), in arrival order
+        self._queue: deque[Serve] = deque()
         # Statistics.
         self.busy_time = 0.0
         self.completions = 0
@@ -68,14 +68,18 @@ class FcfsResource:
         For critical sections that interleave other waits while holding
         the resource (e.g. the TM server force-writing a log record).
         """
-        if not self._busy and not self._queue:
-            self._busy = True
-            self._busy_since = self.sim.now
-            yield _NOW
-            return
-        grant = self.sim.event()
-        self._queue.append(grant)
-        yield Wait(grant)
+        yield Serve(self, None)
+
+    def _take(self, request: Serve) -> bool:
+        """Take the idle server for *request* (True: the kernel starts
+        it now) or queue it until :meth:`release` hands the server
+        over (False)."""
+        if self._busy or self._queue:
+            self._queue.append(request)
+            return False
+        self._busy = True
+        self._busy_since = self.sim.now
+        return True
 
     def release(self) -> None:
         """Release the server: a hold taken with :meth:`acquire`, or a
@@ -84,13 +88,10 @@ class FcfsResource:
             raise SimulationError(f"release of idle resource {self.name}")
         self.completions += 1
         if self._queue:
-            # Hand over directly; the server stays busy.  A queued
-            # Serve starts now, at the step a fired grant would take.
+            # Hand over directly; the server stays busy and the head
+            # request starts now.
             head = self._queue.popleft()
-            if isinstance(head, Serve):
-                self.sim._wake(head.process, head)
-            else:
-                head.fire()
+            self.sim._wake(head.process, head)
         else:
             self._busy = False
             self.busy_time += self.sim.now - self._busy_since

@@ -256,10 +256,9 @@ class Telemetry:
         self.spans_dropped = 0
         self.samples_recorded = 0
         self.samples_dropped = 0
-        #: running span sums per (home, base), then per (span-site,
-        #: phase name), ms (names for the reason ``SpanClock`` uses them)
-        self._phase_sums: dict[tuple[str, BaseType],
-                               dict[tuple[str, str], float]] = {}
+        #: running span sums per (home, base, span-site, phase), ms
+        self._phase_sums: dict[tuple[str, BaseType, str, Phase], float] \
+            = defaultdict(float)
         #: committed cycles per (home, base) included in the sums
         self._cycles: dict[tuple[str, BaseType], int] = defaultdict(int)
         self._attempts: dict[tuple[str, BaseType], int] = defaultdict(int)
@@ -291,12 +290,9 @@ class Telemetry:
         key = (record.home, record.base)
         self._cycles[key] += 1
         self._attempts[key] += record.attempts
-        sums = self._phase_sums.get(key)
-        if sums is None:
-            sums = self._phase_sums[key] = {}
         for (site, phase), ms in record.spans.items():
-            span = (site, phase._name_)
-            sums[span] = sums.get(span, 0.0) + ms
+            self._phase_sums[(record.home, record.base, site, phase)] \
+                += ms
 
     # ------------------------------------------------------------------
     # probe sampling (called by the system's probe process)
@@ -388,8 +384,9 @@ class Telemetry:
         if cycles == 0:
             return {}
         return {
-            (site, Phase[name]): total / cycles
-            for (site, name), total in self._phase_sums[(home, base)].items()
+            (site, phase): total / cycles
+            for (h, b, site, phase), total in self._phase_sums.items()
+            if h == home and b == base
         }
 
     def mean_phase_response_ms(self, home: str, base: BaseType) -> float:

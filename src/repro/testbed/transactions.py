@@ -7,7 +7,12 @@ from dataclasses import dataclass, field
 from repro.model.types import BaseType
 from repro.testbed.locks import LockMode
 
-__all__ = ["SiteTxnState", "Transaction"]
+__all__ = ["SiteTxnState", "Transaction", "lock_mode_of"]
+
+
+def lock_mode_of(base: BaseType) -> LockMode:
+    """Update transactions lock exclusively, readers share."""
+    return LockMode.EXCLUSIVE if base.is_update else LockMode.SHARED
 
 
 @dataclass
@@ -48,9 +53,9 @@ class Transaction:
 
     @property
     def lock_mode(self) -> LockMode:
-        """Update transactions lock exclusively, readers share."""
-        return (LockMode.EXCLUSIVE if self.base.is_update
-                else LockMode.SHARED)
+        """The mode of every lock this transaction takes
+        (:func:`lock_mode_of` its base type)."""
+        return lock_mode_of(self.base)
 
     @property
     def is_distributed(self) -> bool:

@@ -38,8 +38,7 @@ def _txn(registry, txn_id, home):
 
 
 def _hold(node, txn, granule):
-    outcome = node.locks.request(txn.txn_id, granule, LockMode.EXCLUSIVE,
-                                 grant=lambda: None)
+    outcome = node.locks.request(txn.txn_id, granule, LockMode.EXCLUSIVE)
     assert outcome.value == "granted"
     txn.state(node.name).held.add(granule)
 
@@ -56,11 +55,11 @@ class TestGlobalDeadlock:
         def blocked(txn, node, granule):
             """Block txn on granule at node, reacting to the victim
             callback like the real executor."""
-            wait = sim.event()
             outcome = node.locks.request(
-                txn.txn_id, granule, LockMode.EXCLUSIVE,
-                grant=lambda: wait.fire("granted"))
+                txn.txn_id, granule, LockMode.EXCLUSIVE)
             assert outcome.value == "blocked"
+            wait = sim.event()
+            node.locks.on_grant(txn.txn_id, lambda: wait.fire("granted"))
             node.lock_wait_events[txn.txn_id] = wait
             txn.blocked_at = node.name
 
@@ -97,11 +96,11 @@ class TestGlobalDeadlock:
         granted = []
 
         def blocked(txn, node, granule):
-            wait = sim.event()
             outcome = node.locks.request(
-                txn.txn_id, granule, LockMode.EXCLUSIVE,
-                grant=lambda: wait.fire("granted"))
+                txn.txn_id, granule, LockMode.EXCLUSIVE)
             assert outcome.value == "blocked"
+            wait = sim.event()
+            node.locks.on_grant(txn.txn_id, lambda: wait.fire("granted"))
             node.lock_wait_events[txn.txn_id] = wait
             yield Fork(detector.prober(txn.txn_id, node,
                                        lambda: granted.append("WRONG")))
@@ -140,10 +139,11 @@ class TestGlobalDeadlock:
         fired = []
 
         def blocked_then_released():
+            outcome = nodes["B"].locks.request("T1", 200,
+                                               LockMode.EXCLUSIVE)
+            assert outcome.value == "blocked"
             wait = sim.event()
-            nodes["B"].locks.request(
-                "T1", 200, LockMode.EXCLUSIVE,
-                grant=lambda: wait.fire("granted"))
+            nodes["B"].locks.on_grant("T1", lambda: wait.fire("granted"))
             nodes["B"].lock_wait_events["T1"] = wait
             yield Fork(detector.prober("T1", nodes["B"],
                                        lambda: fired.append("abort")))

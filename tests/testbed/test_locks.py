@@ -12,9 +12,12 @@ DEADLOCK = LockRequestOutcome.DEADLOCK
 
 
 def req(mgr, txn, granule, mode, log=None):
+    """Request a lock; a blocked request logs *txn* when granted."""
     log = log if log is not None else []
-    return mgr.request(txn, granule, mode,
-                       grant=lambda: log.append(txn)), log
+    outcome = mgr.request(txn, granule, mode)
+    if outcome is BLOCKED:
+        mgr.on_grant(txn, lambda: log.append(txn))
+    return outcome, log
 
 
 class TestGrantRules:
@@ -51,7 +54,7 @@ class TestGrantRules:
         mgr = LockManager("A")
         assert req(mgr, "t1", 1, S)[0] is GRANTED
         with pytest.raises(SimulationError):
-            mgr.request("t1", 1, X, grant=lambda: None)
+            mgr.request("t1", 1, X)
 
     def test_exclusive_holder_may_rerequest_shared(self):
         mgr = LockManager("A")
@@ -64,8 +67,8 @@ class TestReleaseAndHandOff:
         mgr = LockManager("A")
         log = []
         req(mgr, "t1", 1, X, log)
-        mgr.request("t2", 1, X, grant=lambda: log.append("t2"))
-        mgr.request("t3", 1, X, grant=lambda: log.append("t3"))
+        req(mgr, "t2", 1, X, log)
+        req(mgr, "t3", 1, X, log)
         mgr.release_all("t1")
         assert log == ["t2"]
         mgr.release_all("t2")
@@ -75,11 +78,26 @@ class TestReleaseAndHandOff:
         mgr = LockManager("A")
         log = []
         req(mgr, "w", 1, X, log)
-        mgr.request("r1", 1, S, grant=lambda: log.append("r1"))
-        mgr.request("r2", 1, S, grant=lambda: log.append("r2"))
-        mgr.request("w2", 1, X, grant=lambda: log.append("w2"))
+        req(mgr, "r1", 1, S, log)
+        req(mgr, "r2", 1, S, log)
+        req(mgr, "w2", 1, X, log)
         mgr.release_all("w")
         assert log == ["r1", "r2"]
+
+    def test_on_grant_needs_a_blocked_request(self):
+        mgr = LockManager("A")
+        req(mgr, "t1", 1, X)
+        with pytest.raises(SimulationError, match="not waiting"):
+            mgr.on_grant("t1", lambda: None)
+
+    def test_hand_over_without_on_grant_is_an_error(self):
+        """A queued request whose grant was never attached fails
+        loudly at hand-over instead of being granted silently."""
+        mgr = LockManager("A")
+        req(mgr, "t1", 1, X)
+        assert mgr.request("t2", 1, X) is BLOCKED
+        with pytest.raises(SimulationError, match="no on_grant"):
+            mgr.release_all("t1")
 
     def test_release_returns_count(self):
         mgr = LockManager("A")
@@ -92,7 +110,7 @@ class TestReleaseAndHandOff:
         mgr = LockManager("A")
         log = []
         req(mgr, "t1", 1, X, log)
-        mgr.request("t2", 1, X, grant=lambda: log.append("t2"))
+        req(mgr, "t2", 1, X, log)
         mgr.cancel_wait("t2")
         assert not mgr.is_blocked("t2")
         mgr.release_all("t1")
@@ -103,8 +121,8 @@ class TestReleaseAndHandOff:
         mgr = LockManager("A")
         log = []
         req(mgr, "r1", 1, S, log)
-        mgr.request("w", 1, X, grant=lambda: log.append("w"))
-        mgr.request("r2", 1, S, grant=lambda: log.append("r2"))
+        req(mgr, "w", 1, X, log)
+        req(mgr, "r2", 1, S, log)
         mgr.cancel_wait("w")
         assert log == ["r2"]
 

@@ -37,7 +37,7 @@ class TestMetricsWindow:
         metrics = Metrics()
         metrics.start_window(0.0)
         metrics.commit("A", BaseType.LRO, 100.0, 32.0)
-        metrics.event("A", BaseType.LRO, "tm_msg", 3)
+        metrics.bump(metrics.event_counter("A", BaseType.LRO, "tm_msg"), 3)
         metrics.start_window(50.0)
         assert metrics.commits == {}
         assert metrics.events == {}
@@ -48,16 +48,17 @@ class TestMetricsWindow:
         metrics.start_window(0.0)
         metrics.commit("A", BaseType.LU, 100.0, 32.0)
         metrics.commit("A", BaseType.LU, 120.0, 32.0)
-        metrics.event("A", BaseType.LU, "tm_msg", 34)
+        metrics.bump(metrics.event_counter("A", BaseType.LU, "tm_msg"), 34)
         assert metrics.events_per_commit(
             "A", BaseType.LU, "tm_msg") == pytest.approx(17.0)
         assert metrics.events_per_commit(
             "A", BaseType.DRO, "tm_msg") == 0.0
 
     def test_resolved_counters_share_the_event_counts(self):
-        """A counter resolved once and bumped counts into the same
-        (site, base, name) entry as :meth:`Metrics.event`, only inside
-        the window, and a new window restarts it from zero."""
+        """A counter resolved once and bumped counts into its
+        (site, base, name) entry, the same one a later lookup returns,
+        only inside the window, and a new window restarts it from
+        zero."""
         metrics = Metrics()
         counter = metrics.event_counter("A", BaseType.LU, "tm_msg")
         assert metrics.event_counter("A", BaseType.LU, "tm_msg") is counter
@@ -66,8 +67,9 @@ class TestMetricsWindow:
         metrics.start_window(0.0)
         metrics.bump(counter)
         metrics.bump(counter, 2)
-        metrics.event("A", BaseType.LU, "tm_msg")
-        metrics.event("B", BaseType.LU, "slave_tm_msg")
+        metrics.bump(metrics.event_counter("A", BaseType.LU, "tm_msg"))
+        metrics.bump(metrics.event_counter("B", BaseType.LU,
+                                           "slave_tm_msg"))
         metrics.commit("A", BaseType.LU, 100.0, 32.0)
         assert metrics.events == {("A", BaseType.LU, "tm_msg"): 4,
                                   ("B", BaseType.LU, "slave_tm_msg"): 1}

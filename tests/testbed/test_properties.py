@@ -134,11 +134,11 @@ class TestLockManagerProperties:
                 _, txn, granule, mode = step
                 if txn in blocked:
                     continue
-                outcome = mgr.request(txn, granule, mode,
-                                      grant_cb(txn, granule, mode))
+                outcome = mgr.request(txn, granule, mode)
                 if outcome is LockRequestOutcome.GRANTED:
                     granted[(txn, granule)] = mode
                 elif outcome is LockRequestOutcome.BLOCKED:
+                    mgr.on_grant(txn, grant_cb(txn, granule, mode))
                     blocked.add(txn)
                 # DEADLOCK: requester not queued; nothing to track.
             else:
@@ -177,7 +177,9 @@ class TestLockManagerProperties:
                 _, txn, granule, mode = step
                 if mgr.is_blocked(txn):
                     continue
-                mgr.request(txn, granule, mode, lambda: None)
+                outcome = mgr.request(txn, granule, mode)
+                if outcome is LockRequestOutcome.BLOCKED:
+                    mgr.on_grant(txn, lambda: None)
                 touched.add(txn)
             else:
                 mgr.release_all(step[1])

@@ -1,12 +1,62 @@
 """Unit tests for FCFS resources, pools and mailboxes."""
 
 import random
+from collections import deque
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.testbed.des import Fork, Serve, Simulator, Timeout
+from repro.testbed.des import Fork, Serve, Simulator, Timeout, Wait
 from repro.testbed.resources import CountingPool, FcfsResource, Mailbox
+
+
+class GrantEventServer:
+    """Reference FCFS server built on the generic commands only: take
+    an idle server with a zero-delay ``Timeout`` or wait on a grant
+    ``Event`` fired at hand-over, hold it with a ``Timeout``, release."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.busy = False
+        self.queue = deque()
+        self.busy_time = 0.0
+        self.completions = 0
+        self.busy_since = 0.0
+        self.stats_start = 0.0
+
+    def use(self, duration):
+        if self.busy or self.queue:
+            grant = self.sim.event()
+            self.queue.append(grant)
+            yield Wait(grant)
+        else:
+            self.busy = True
+            self.busy_since = self.sim.now
+            yield Timeout(0.0)
+        yield Timeout(duration)
+        self.completions += 1
+        if self.queue:
+            self.queue.popleft().fire()
+        else:
+            self.busy = False
+            self.busy_time += self.sim.now - self.busy_since
+
+    @property
+    def queue_length(self):
+        return len(self.queue)
+
+    def reset_stats(self):
+        self.busy_time = 0.0
+        self.completions = 0
+        self.stats_start = self.sim.now
+        if self.busy:
+            self.busy_since = self.sim.now
+
+    def utilization(self):
+        busy = self.busy_time
+        if self.busy:
+            busy += self.sim.now - self.busy_since
+        return busy / (self.sim.now - self.stats_start)
 
 
 class TestFcfsResource:
@@ -158,6 +208,26 @@ class TestServe:
         assert res.completions == 3
         assert res.busy_time == 17.0
 
+    def test_acquire_is_a_hold_without_events(self):
+        """``acquire`` yields a ``Serve`` with no delay: queued holders
+        are handed the server in FIFO order and no ``Event`` is made."""
+        sim = Simulator()
+        res = FcfsResource(sim, "tm")
+        sim.event = None                 # any Event would fail here
+        log = []
+
+        def holder(name, hold):
+            yield from res.acquire()
+            log.append((name, sim.now))
+            yield Timeout(hold)
+            res.release()
+
+        for name, hold in (("h1", 2.0), ("h2", 3.0), ("h3", 1.0)):
+            sim.spawn(holder(name, hold))
+        sim.run()
+        assert log == [("h1", 0.0), ("h2", 2.0), ("h3", 5.0)]
+        assert res.completions == 3 and res.busy_time == 6.0
+
     def test_mixed_queue_is_fifo(self):
         """Serves and acquire holders queued behind one server are
         granted strictly in arrival order, whichever kind releases."""
@@ -216,27 +286,33 @@ class TestServe:
         assert res.completions == 0 and res.queue_length == 0
 
     def test_matches_acquire_timeout_release_on_seeded_mm1(self):
-        """The kernel-run service and the generator protocol it
-        replaced (take the server, ``Timeout``, release) schedule the
+        """The kernel-run service, an ``acquire``/``Timeout``/
+        ``release`` holder and a grant-``Event`` server built on the
+        generic commands (the protocol ``serve`` replaced) schedule the
         same heap entries: same steps, same responses, same resource
         statistics and queue lengths at every probe."""
-        def former_use(res, duration):
+        def held(res, duration):
             yield from res.acquire()
             yield Timeout(duration)
             res.release()
 
-        def run(use_serve):
+        def run(protocol):
             sim = Simulator()
-            res = FcfsResource(sim, "q")
+            if protocol == "grant-event":
+                res = GrantEventServer(sim)
+            else:
+                res = FcfsResource(sim, "q")
             rng = random.Random(42)
             responses, queue = [], []
 
             def customer(duration):
                 start = sim.now
-                if use_serve:
+                if protocol == "serve":
                     yield res.serve(duration)
+                elif protocol == "hold":
+                    yield from held(res, duration)
                 else:
-                    yield from former_use(res, duration)
+                    yield from res.use(duration)
                 responses.append(sim.now - start)
 
             def source():
@@ -257,8 +333,9 @@ class TestServe:
             return (sim._steps, responses, queue, res.busy_time,
                     res.completions, res.utilization())
 
-        served, former = run(True), run(False)
-        assert served == former
+        served = run("serve")
+        assert served == run("hold")
+        assert served == run("grant-event")
         assert served[4] > 3_000          # completions in the window
         assert max(served[2]) > 1         # the queue did build up
 
