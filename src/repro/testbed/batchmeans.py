@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.testbed.student_t import t_quantile
 
 __all__ = ["BatchMeansResult", "batch_means", "lag1_autocorrelation"]
 
@@ -83,13 +84,11 @@ def batch_means(
         raise ConfigurationError(
             f"{len(observations)} observations cannot fill "
             f"{batches} batches")
-    from scipy import stats
-
     means = [float(np.mean(observations[i * size:(i + 1) * size]))
              for i in range(batches)]
     grand = float(np.mean(means))
     sem = float(np.std(means, ddof=1)) / np.sqrt(batches)
-    t = float(stats.t.ppf(0.5 + confidence / 2.0, df=batches - 1))
+    t = t_quantile(0.5 + confidence / 2.0, batches - 1)
     return BatchMeansResult(
         mean=grand,
         half_width=t * sem,

@@ -17,7 +17,7 @@ granule it wants, discovered on demand (no stale edge bookkeeping).
 from __future__ import annotations
 
 import enum
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable
 
@@ -54,6 +54,8 @@ class _Waiter:
 
 @dataclass
 class _Lock:
+    #: creation number; a transaction releases in creation order
+    seq: int
     holders: dict[str, LockMode] = field(default_factory=dict)
     queue: deque[_Waiter] = field(default_factory=deque)
 
@@ -64,6 +66,9 @@ class LockManager:
     def __init__(self, site: str):
         self.site = site
         self._locks: dict[int, _Lock] = {}
+        self._created = 0
+        #: granules each transaction holds (granted or handed over)
+        self._held: defaultdict[str, set[int]] = defaultdict(set)
         #: granule a blocked transaction is waiting for
         self._waiting_for: dict[str, tuple[int, LockMode]] = {}
         # Statistics.
@@ -79,8 +84,12 @@ class LockManager:
         return bool(lock and txn in lock.holders)
 
     def held_granules(self, txn: str) -> list[int]:
-        """Granules currently locked by *txn*."""
-        return [g for g, lock in self._locks.items() if txn in lock.holders]
+        """Granules currently locked by *txn*, in lock-table order."""
+        return self._table_order(self._held.get(txn, ()))
+
+    def _table_order(self, granules: Iterable[int]) -> list[int]:
+        locks = self._locks
+        return sorted(granules, key=lambda g: locks[g].seq)
 
     def is_blocked(self, txn: str) -> bool:
         """True when *txn* is queued for a lock at this site."""
@@ -137,7 +146,8 @@ class LockManager:
         self.requests += 1
         lock = self._locks.get(granule)
         if lock is None:
-            lock = self._locks[granule] = _Lock()
+            self._created += 1
+            lock = self._locks[granule] = _Lock(self._created)
         held = lock.holders.get(txn)
         if held is not None:
             if held is mode or held is LockMode.EXCLUSIVE:
@@ -147,6 +157,7 @@ class LockManager:
             )
         if self._grantable(lock, mode):
             lock.holders[txn] = mode
+            self._held[txn].add(granule)
             return LockRequestOutcome.GRANTED
 
         # Would queueing close a local cycle?  Probe the wait-for graph
@@ -208,19 +219,23 @@ class LockManager:
         self._grant_from_queue(granule, lock)
 
     def release_all(self, txn: str) -> int:
-        """Release every lock held by *txn*; returns the count."""
+        """Release every lock held by *txn*; returns the count.
+
+        Granules go in lock-table (creation) order, which fixes the
+        order of the hand-overs.  Only the released entries can become
+        empty: a queue is never left without a holder, so a cancelled
+        wait always leaves its entry a holder.
+        """
         if txn in self._waiting_for:
             self.cancel_wait(txn)
-        released = 0
-        for granule in list(self._locks):
+        held = self._held.pop(txn, ())
+        for granule in self._table_order(held):
             lock = self._locks[granule]
-            if txn in lock.holders:
-                del lock.holders[txn]
-                released += 1
-                self._grant_from_queue(granule, lock)
+            del lock.holders[txn]
+            self._grant_from_queue(granule, lock)
             if not lock.holders and not lock.queue:
                 del self._locks[granule]
-        return released
+        return len(held)
 
     def _grant_from_queue(self, granule: int, lock: _Lock) -> None:
         """Grant from the queue head while compatible (FIFO batching:
@@ -237,6 +252,7 @@ class LockManager:
                     f"{self.site} but attached no on_grant callback")
             lock.queue.popleft()
             lock.holders[head.txn] = head.mode
+            self._held[head.txn].add(granule)
             self._waiting_for.pop(head.txn, None)
             head.grant()
 

@@ -4,8 +4,9 @@ A single DES run is one sample path; production simulation methodology
 reports means with confidence intervals over independent replications
 (distinct seeds).  This module runs R replications of a configuration
 and summarizes the headline measures with Student-t intervals
-(scipy.stats), which the experiments can use to say *how much* of the
-model-vs-simulator gap is sampling noise.
+(:func:`~repro.testbed.student_t.t_quantile`), which the experiments
+can use to say *how much* of the model-vs-simulator gap is sampling
+noise.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs.spans import span
+from repro.testbed.student_t import t_quantile
 from repro.testbed.system import CaratSimulation, SimulationConfig
 
 __all__ = ["Estimate", "ReplicatedMeasurement", "run_replications"]
@@ -56,10 +58,8 @@ def _estimate(samples: list[float], confidence: float) -> Estimate:
     if n < 2:
         return Estimate(mean=mean, half_width=float("inf"),
                         replications=n, confidence=confidence)
-    from scipy import stats
-
     sem = float(np.std(samples, ddof=1)) / np.sqrt(n)
-    t = float(stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
+    t = t_quantile(0.5 + confidence / 2.0, n - 1)
     return Estimate(mean=mean, half_width=t * sem, replications=n,
                     confidence=confidence)
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.testbed.locks import LockMode
 
 __all__ = ["AccessRecord", "CommittedTransaction",
@@ -65,16 +63,16 @@ class SerializabilityReport:
 
 
 def conflict_graph(
-        history: list[CommittedTransaction]) -> nx.DiGraph:
-    """Precedence graph over a committed history.
+        history: list[CommittedTransaction]) -> dict[str, list[str]]:
+    """Precedence graph over a committed history, as adjacency lists.
 
-    Edges point from the transaction whose conflicting access came
-    first to the one whose access came later, which under 2PL is also
-    the lock-release order.
+    Every transaction is a key (in history order); its list holds its
+    successors in first-seen order, without duplicates.  Edges point
+    from the transaction whose conflicting access came first to the
+    one whose access came later, which under 2PL is also the
+    lock-release order.
     """
-    graph = nx.DiGraph()
-    for txn in history:
-        graph.add_node(txn.txn_id)
+    graph: dict[str, list[str]] = {txn.txn_id: [] for txn in history}
     # Bucket accesses per item so the pairwise scan stays local.
     by_item: dict[tuple[str, int], list[tuple[AccessRecord, str]]] = {}
     for txn in history:
@@ -85,31 +83,56 @@ def conflict_graph(
         accesses.sort(key=lambda pair: pair[0].acquired_at)
         for i, (first, first_txn) in enumerate(accesses):
             for later, later_txn in accesses[i + 1:]:
-                if first_txn == later_txn:
-                    continue
-                if first.conflicts_with(later):
-                    graph.add_edge(first_txn, later_txn)
+                successors = graph[first_txn]
+                if (later_txn != first_txn and later_txn not in successors
+                        and first.conflicts_with(later)):
+                    successors.append(later_txn)
     return graph
+
+
+def _serial_order_or_cycle(
+        graph: dict[str, list[str]],
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """One iterative depth-first pass: ``(serial_order, ())`` when
+    *graph* is acyclic (reverse post-order, so unrelated transactions
+    keep history order), else ``((), cycle)`` where each cycle member
+    has an edge to the next and the last to the first."""
+    on_path: set[str] = set()
+    done: set[str] = set()
+    finished: list[str] = []
+    for root in reversed(graph):
+        if root in done:
+            continue
+        path = [root]
+        on_path.add(root)
+        successors = [iter(graph[root])]
+        while successors:
+            for nxt in successors[-1]:
+                if nxt in on_path:
+                    return (), tuple(path[path.index(nxt):])
+                if nxt not in done:
+                    path.append(nxt)
+                    on_path.add(nxt)
+                    successors.append(iter(graph[nxt]))
+                    break
+            else:
+                successors.pop()
+                node = path.pop()
+                on_path.remove(node)
+                done.add(node)
+                finished.append(node)
+    return tuple(reversed(finished)), ()
 
 
 def check_serializable(
         history: list[CommittedTransaction]) -> SerializabilityReport:
     """Check a committed history for conflict-serializability."""
     graph = conflict_graph(history)
-    try:
-        order = tuple(nx.topological_sort(graph))
-        return SerializabilityReport(
-            serializable=True,
-            transactions=graph.number_of_nodes(),
-            conflict_edges=graph.number_of_edges(),
-            serial_order=order,
-        )
-    except nx.NetworkXUnfeasible:
-        cycle_edges = nx.find_cycle(graph)
-        cycle = tuple(edge[0] for edge in cycle_edges)
-        return SerializabilityReport(
-            serializable=False,
-            transactions=graph.number_of_nodes(),
-            conflict_edges=graph.number_of_edges(),
-            cycle=cycle,
-        )
+    order, cycle = _serial_order_or_cycle(graph)
+    return SerializabilityReport(
+        serializable=not cycle,
+        transactions=len(graph),
+        conflict_edges=sum(len(succ) for succ in graph.values()),
+        cycle=cycle,
+        serial_order=order,
+    )

@@ -130,11 +130,12 @@ class TestPerfCommand:
 
 class TestStartup:
     def test_import_does_not_load_scipy(self):
-        """scipy serves only calibration and interval estimates, so no
-        CLI call pays for importing it up front."""
+        """The package depends on neither scipy nor networkx, so no
+        CLI call may pull them in, not even from an environment that
+        happens to have them installed."""
         src = Path(__file__).resolve().parents[2] / "src"
         code = ("import sys, repro.cli; print(sorted(m for m in sys.modules"
-                " if m.split('.')[0] == 'scipy'))")
+                " if m.split('.')[0] in ('scipy', 'networkx')))")
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=str(src)), check=True)

@@ -9,6 +9,7 @@ from repro.model.workload import WorkloadSpec, mb4
 from repro.testbed.locks import LockMode
 from repro.testbed.serializability import (AccessRecord,
                                            CommittedTransaction,
+                                           check_serializable,
                                            conflict_graph)
 from repro.testbed.system import simulate
 
@@ -42,39 +43,74 @@ class TestThinkTimeInSimulator:
                         rel=0.2))
 
 
+def _random_history(seed, interleaved=False):
+    """Up to 12 transactions of 1-4 accesses over 2 sites x 4 granules.
+    By default each transaction's accesses follow the previous one's;
+    *interleaved* draws the access times at random instead, which
+    produces non-serializable histories too."""
+    import random
+    rng = random.Random(seed)
+    history = []
+    clock = 0.0
+    for i in range(rng.randint(1, 12)):
+        accesses = []
+        for _ in range(rng.randint(1, 4)):
+            clock += rng.random()
+            accesses.append(AccessRecord(
+                site=rng.choice(["A", "B"]),
+                granule=rng.randint(0, 3),
+                mode=rng.choice([LockMode.SHARED,
+                                 LockMode.EXCLUSIVE]),
+                acquired_at=rng.uniform(0.0, 30.0) if interleaved
+                else clock))
+        history.append(CommittedTransaction(
+            txn_id=f"t{i}", committed_at=clock,
+            accesses=tuple(accesses)))
+    return history
+
+
 class TestConflictGraphProperties:
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_edges_follow_time_order(self, seed):
         """Every conflict edge points from the earlier access to the
         later one, for random histories."""
-        import random
-        rng = random.Random(seed)
-        history = []
-        clock = 0.0
-        for i in range(rng.randint(1, 12)):
-            accesses = []
-            for _ in range(rng.randint(1, 4)):
-                clock += rng.random()
-                accesses.append(AccessRecord(
-                    site=rng.choice(["A", "B"]),
-                    granule=rng.randint(0, 3),
-                    mode=rng.choice([LockMode.SHARED,
-                                     LockMode.EXCLUSIVE]),
-                    acquired_at=clock))
-            history.append(CommittedTransaction(
-                txn_id=f"t{i}", committed_at=clock,
-                accesses=tuple(accesses)))
+        history = _random_history(seed)
         first_access = {t.txn_id: min(a.acquired_at
                                       for a in t.accesses)
                         for t in history}
         graph = conflict_graph(history)
-        for src, dst in graph.edges:
-            # The source's earliest conflicting access precedes the
-            # destination's latest one.
-            assert first_access[src] <= max(
-                a.acquired_at for t in history if t.txn_id == dst
-                for a in t.accesses)
+        for src, successors in graph.items():
+            for dst in successors:
+                # The source's earliest conflicting access precedes
+                # the destination's latest one.
+                assert first_access[src] <= max(
+                    a.acquired_at for t in history if t.txn_id == dst
+                    for a in t.accesses)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_serial_order_or_cycle_witness(self, seed, interleaved):
+        """A serializable verdict comes with an order every edge
+        respects; otherwise the cycle is a closed path of real edges."""
+        history = _random_history(seed, interleaved)
+        graph = conflict_graph(history)
+        report = check_serializable(history)
+        assert report.transactions == len(graph)
+        assert report.conflict_edges == sum(map(len, graph.values()))
+        if report.serializable:
+            assert report.cycle == ()
+            assert sorted(report.serial_order) == sorted(graph)
+            position = {t: i for i, t in enumerate(report.serial_order)}
+            for src, successors in graph.items():
+                for dst in successors:
+                    assert position[src] < position[dst]
+        else:
+            assert report.serial_order == ()
+            cycle = report.cycle
+            assert len(cycle) >= 2 and len(set(cycle)) == len(cycle)
+            for src, dst in zip(cycle, cycle[1:] + cycle[:1]):
+                assert dst in graph[src]
 
 
 class TestOpenWorkloadMultiSite:

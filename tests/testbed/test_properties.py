@@ -187,3 +187,63 @@ class TestLockManagerProperties:
             mgr.release_all(txn)
         assert mgr.lock_count() == 0
         assert list(mgr.waiting_transactions()) == []
+
+    @given(lock_scripts())
+    @settings(max_examples=100, deadline=None)
+    def test_indexed_release_matches_full_scan(self, script):
+        """Releasing through the per-transaction index hands locks over
+        in the same order, and leaves the same table, as the original
+        scan over every entry; remote aborts (``cancel_wait``) are
+        interleaved on every other release step of a blocked txn."""
+
+        class FullScan(LockManager):
+            def release_all(self, txn):
+                if txn in self._waiting_for:
+                    self.cancel_wait(txn)
+                self._held.pop(txn, None)
+                released = 0
+                for granule in list(self._locks):
+                    lock = self._locks[granule]
+                    if txn in lock.holders:
+                        del lock.holders[txn]
+                        released += 1
+                        self._grant_from_queue(granule, lock)
+                    if not lock.holders and not lock.queue:
+                        del self._locks[granule]
+                return released
+
+            def held_granules(self, txn):
+                return [g for g, lock in self._locks.items()
+                        if txn in lock.holders]
+
+        managers = (LockManager("A"), FullScan("A"))
+        logs: tuple[list, list] = ([], [])
+
+        def step_all(action):
+            return [action(mgr, log) for mgr, log in zip(managers, logs)]
+
+        for i, step in enumerate(script):
+            txn = step[1]
+            if step[0] == "request":
+                if managers[0].is_blocked(txn):
+                    continue
+                _, _, granule, mode = step
+
+                def request(mgr, log):
+                    outcome = mgr.request(txn, granule, mode)
+                    if outcome is LockRequestOutcome.BLOCKED:
+                        mgr.on_grant(txn, lambda: log.append(txn))
+                    return outcome
+
+                outcomes = step_all(request)
+            elif i % 2 and managers[0].is_blocked(txn):
+                outcomes = step_all(lambda mgr, _: mgr.cancel_wait(txn))
+            else:
+                outcomes = step_all(lambda mgr, _: mgr.release_all(txn))
+            assert outcomes[0] == outcomes[1]
+            assert logs[0] == logs[1]
+            assert managers[0].lock_count() == managers[1].lock_count()
+            assert list(managers[0]._locks) == list(managers[1]._locks)
+            for t in (f"t{k}" for k in range(5)):
+                assert (managers[0].held_granules(t)
+                        == managers[1].held_granules(t))

@@ -51,7 +51,7 @@ class TestCheckerMechanics:
             _txn("t2", 20.0, ("A", 1, X, 15.0)),
         ]
         graph = conflict_graph(history)
-        assert list(graph.edges) == [("t1", "t2")]
+        assert graph == {"t1": ["t2"], "t2": []}
 
     def test_read_write_conflict_counts(self):
         history = [
