@@ -35,6 +35,25 @@ class ConvergenceError(CaratError):
         self.residual = residual
 
 
+class RetiredRowError(CaratError):
+    """A batched solve stopped a row early because a lower row already
+    missed the caller's target (the row's answer cannot matter).
+
+    Attributes
+    ----------
+    iterations:
+        Iterations the row ran before it was retired.
+    missed_row:
+        Index of the lowest row that had missed the target when this
+        row was retired.
+    """
+
+    def __init__(self, message: str, iterations: int, missed_row: int):
+        super().__init__(message)
+        self.iterations = iterations
+        self.missed_row = missed_row
+
+
 class SimulationError(CaratError):
     """The discrete-event simulation reached an inconsistent state."""
 

@@ -23,7 +23,9 @@ assembly, ``L_h`` (Eq. 14), the holder-mass ``Pb``/``Pd``/``R_LW``
 block (Eqs. 15-20) and ``E[Y]`` (Eq. 11).  Each row converges on its
 own and keeps the typed outcome a single solve would raise: saturated
 (a utilization reached 1), infeasible (``P_a`` or ``sigma`` left its
-range) or not converged within the iteration budget.
+range) or not converged within the iteration budget.  Given a response
+target, a search's batch also retires every row above the lowest one
+that has missed it: those rows' answers cannot move the search.
 :func:`solve_open_model` is the one-row call.
 
 The closed solver remains the faithful reproduction; this one answers
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ConvergenceError
+from repro.errors import ConfigurationError, ConvergenceError, RetiredRowError
 from repro.model import locking
 from repro.model.parameters import SiteParameters
 from repro.model.phases import NO_CONFLICT, transition_matrix
@@ -132,9 +134,10 @@ class OpenBatch:
     Arrays are indexed by row (the position in the solve's ``scales``)
     and, for the per-chain ones, by the ``(site, chain)`` states in
     ``keys``.  A row's entry in ``errors`` is the typed exception a
-    single solve at that scale raises, or ``None`` when it converged;
-    the arrays of a row with an error hold its last iterate and carry
-    no meaning.
+    single solve at that scale raises, or ``None`` when it converged,
+    or a :class:`~repro.errors.RetiredRowError` when a targeted solve
+    stopped it early; the arrays of a row with an error hold its last
+    iterate and carry no meaning.
     """
 
     keys: tuple[tuple[str, ChainType], ...]
@@ -194,17 +197,29 @@ def solve_open_batch(
     tolerance: float = 1e-6,
     max_iterations: int = 300,
     damping: float = 0.5,
+    response_target_ms: float | None = None,
 ) -> OpenBatch:
     """Solve *workload* with every arrival rate multiplied by each of
     *scales*, one row per scale.
 
+    With *response_target_ms* the scales must be strictly ascending and
+    the solve serves a search for the last row that meets the target.
+    A finished row *misses* it when it carries a typed error or its
+    arrival-weighted mean response exceeds the target; once one has,
+    every still-running row above the lowest such row stops at that
+    iteration with a :class:`~repro.errors.RetiredRowError`.  Rows are
+    independent, so every row up to the first miss is bit-identical to
+    an untargeted solve.  ``None`` runs every row to its own outcome.
+
     Raises
     ------
     ConfigurationError
-        If the workload carries no traffic, a scale is not positive, or
+        If the workload carries no traffic, a scale is not positive,
+        the scales of a targeted solve are not strictly ascending, or
         a phase chain yields a negative visit count.  Per-row outcomes
-        (saturation, an invalid abort probability, non-convergence) do
-        not raise; they land in :attr:`OpenBatch.errors`.
+        (saturation, an invalid abort probability, non-convergence,
+        retirement) do not raise; they land in
+        :attr:`OpenBatch.errors`.
     """
     # Imported here, as every caller of the closed engine does, so that
     # importing the model package does not load the engine module.
@@ -216,6 +231,9 @@ def solve_open_batch(
     if scale.size == 0 or not np.all(np.isfinite(scale) & (scale > 0.0)):
         raise ConfigurationError(
             f"arrival scales must be positive and finite, got {scales}")
+    if response_target_ms is not None and np.any(np.diff(scale) <= 0.0):
+        raise ConfigurationError(
+            f"a targeted solve needs strictly ascending scales, got {scales}")
     if max_iterations < 1:
         raise ConfigurationError(
             f"max_iterations must be >= 1, got {max_iterations}")
@@ -336,10 +354,30 @@ def solve_open_batch(
                 keys, site_names, i, saturated, u_cpu, u_disk, invalid,
                 pa_old, sig_old, per_lock, residual, iteration, tolerance)
         alive[al[done]] = False
+        if response_target_ms is None:
+            continue
+        finished = al[done]
+        mean = _mean_response(rate_ms[finished] * 1e3, response[finished])
+        failed = (bad | ~(residual < tolerance))[done]  # a typed error
+        missed = finished[failed | ~(mean <= response_target_ms)]
+        if missed.size == 0:
+            continue
+        # Every row still running lies below earlier misses, so the
+        # lowest miss of this iteration is the lowest so far.
+        first = int(missed.min())
+        retired = np.nonzero(alive)[0]
+        retired = retired[retired > first]
+        iterations[retired] = iteration
+        # caratlint: disable=CL002 -- typed outcome of retired rows only
+        for k in retired:
+            errors[k] = RetiredRowError(
+                f"row {k} retired: row {first} missed the "
+                f"{response_target_ms} ms target",
+                iterations=iteration, missed_row=first)
+        alive[retired] = False
 
     arrival_per_s = rate_ms * 1e3
-    mean_response = (_seq_sum_last(arrival_per_s * response)
-                     / _seq_sum_last(arrival_per_s))
+    mean_response = _mean_response(arrival_per_s, response)
     obs.add("model.open_calls")
     obs.add("model.open_points", float(K))
     obs.add("model.open_iterations", float(iterations.sum()))
@@ -351,6 +389,16 @@ def solve_open_batch(
         cpu_utilization=rho_cpu, disk_utilization=rho_disk,
         mean_response_ms=mean_response, iterations=iterations,
         errors=tuple(errors))
+
+
+def _mean_response(arrival_per_s: np.ndarray,
+                   response: np.ndarray) -> np.ndarray:
+    """Arrival-weighted mean response per row: the one formula behind
+    both a targeted solve's misses and :attr:`OpenBatch.mean_response_ms`,
+    so the two agree bit for bit."""
+    from repro.model.outer import _seq_sum_last
+    return (_seq_sum_last(arrival_per_s * response)
+            / _seq_sum_last(arrival_per_s))
 
 
 def _row_error(keys, site_names, i, saturated, u_cpu, u_disk, invalid,

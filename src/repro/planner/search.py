@@ -522,13 +522,14 @@ def slo_max_mpl(evaluator: PlanEvaluator, grid: tuple[int, ...],
     Assumes the predicate is monotone (true at low MPL, false past
     some boundary) — which holds for response-time and abort-rate
     targets, both nondecreasing in population — and bisects, so only
-    ``O(log |grid|)`` points are solved.
+    ``O(log |grid|)`` points are solved.  The upper end of the bracket
+    starts past the grid, so the top MPL (whose solve costs the most)
+    is solved only when every lower probe was feasible.
     """
     if not predicate(evaluator.point(grid[0])):
         return None, None
-    if predicate(evaluator.point(grid[-1])):
-        return grid[-1], evaluator.point(grid[-1])
-    lo, hi = 0, len(grid) - 1  # invariant: lo feasible, hi infeasible
+    # invariant: lo feasible; hi infeasible or past the end
+    lo, hi = 0, len(grid)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if predicate(evaluator.point(grid[mid])):
@@ -555,9 +556,12 @@ def slo_max_arrival_per_s(
     exactly as serial doubling would.  Refinement rounds then split
     the bracket at :data:`REFINE_POINTS` interior rates per batched
     solve until it is no wider than ``2**-bisections`` of its first
-    width.  Returns ``None`` when even the first rung misses the target
-    (the target is below the no-contention response time), and the
-    ladder top when no rung breaks it.
+    width.  Every batch carries the target, so its rows above the first
+    miss retire instead of running to their own outcome (see
+    :func:`~repro.model.open_solver.solve_open_batch`); the bracket only
+    reads rows up to that miss.  Returns ``None`` when even the first
+    rung misses the target (the target is below the no-contention
+    response time), and the ladder top when no rung breaks it.
     """
     counts = {site: {base: float(count)
                      for base, count in bases.items() if count > 0}
@@ -565,10 +569,14 @@ def slo_max_arrival_per_s(
     total_users = sum(sum(bases.values()) for bases in counts.values())
 
     def feasible(per_user_rates: np.ndarray) -> np.ndarray:
+        # Rates too close to ascend strictly (a bracket far narrower
+        # than the default resolution) are solved untargeted.
+        ascending = np.all(np.diff(per_user_rates) > 0.0)
+        target = response_target_ms if ascending else None
         try:
             batch = solve_open_batch(
                 OpenWorkload(template=workload, arrivals_per_s=counts),
-                sites, per_user_rates)
+                sites, per_user_rates, response_target_ms=target)
         except ConfigurationError:
             # No traffic or no valid phase chain: no rate is feasible.
             return np.zeros(len(per_user_rates), dtype=bool)

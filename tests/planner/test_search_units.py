@@ -1,4 +1,5 @@
-"""Unit tests for the planner's search machinery (no model solves)."""
+"""Unit tests for the planner's search machinery (stub evaluators; one
+real-model check of the SLO bisection's probes)."""
 
 from __future__ import annotations
 
@@ -85,14 +86,17 @@ class TestTernarySearch:
 
 
 class _StubEvaluator:
-    """Evaluator double whose response time is 100*mpl ms."""
+    """Evaluator double whose response time is 100*mpl ms; records the
+    MPLs it is asked for, in order."""
 
     def __init__(self):
         self.calls = 0
+        self.asked = []
 
     def point(self, mpl):
         from repro.planner.spec import MplPoint
         self.calls += 1
+        self.asked.append(mpl)
         return MplPoint(mpl=mpl, site_populations={"A": mpl},
                         throughput_per_s=1.0,
                         response_ms=100.0 * mpl,
@@ -126,3 +130,49 @@ class TestSloBisection:
         slo_max_mpl(stub, self.GRID,
                     lambda p: p.response_ms <= 1700.0)
         assert stub.calls <= 8  # 16 points: 2 endpoints + ~4 bisections
+
+    def test_top_not_probed_below_the_boundary(self):
+        """The most expensive point, ``grid[-1]``, is not solved once
+        a lower probe has missed the target."""
+        stub = _StubEvaluator()
+        slo_max_mpl(stub, self.GRID, lambda p: p.response_ms <= 1700.0)
+        assert stub.asked[0] == self.GRID[0]
+        assert self.GRID[-1] not in stub.asked
+
+    @pytest.mark.parametrize("length", range(1, 25))
+    def test_matches_linear_scan_at_every_threshold(self, length):
+        """Every boundary position of a monotone predicate, from none
+        feasible to all feasible, gives the linear scan's answer."""
+        grid = tuple(range(2, 2 * length + 1, 2))
+        for feasible in range(length + 1):
+            stub = _StubEvaluator()
+            target = 100.0 * grid[feasible - 1] if feasible else 0.0
+            mpl, point = slo_max_mpl(stub, grid,
+                                     lambda p, t=target: p.response_ms <= t)
+            scan = [m for m in grid if 100.0 * m <= target]
+            assert mpl == (scan[-1] if scan else None)
+            assert (point is None) == (mpl is None)
+            if point is not None:
+                assert point.mpl == mpl
+            # The top is solved exactly when the boundary sits at one
+            # of the last two points, and then after feasible probes.
+            top = grid[-1] in stub.asked
+            assert top == (length == 1 or feasible >= length - 1)
+            if top:
+                before = stub.asked[:stub.asked.index(grid[-1])]
+                assert all(100.0 * m <= target for m in before)
+            assert len(set(stub.asked)) <= 1 + length.bit_length()
+
+
+def test_plan_slo_bisection_skips_the_top_mpl(sites):
+    """MB4 at n=4 with a 10,600 ms response SLO: the bisection keeps
+    max MPL 8 without solving MPL 24, the grid's costliest point."""
+    from repro.planner.search import PlanEvaluator, find_optimum
+    evaluator = PlanEvaluator(mb4(4), sites)
+    optimum = find_optimum(evaluator, 24)
+    assert optimum.grid[-1] == 24
+    mpl, point = slo_max_mpl(evaluator, optimum.grid,
+                             lambda p: p.response_ms <= 10_600.0)
+    assert mpl == 8
+    assert point.response_ms <= 10_600.0
+    assert 24 not in evaluator.evaluated()

@@ -4,13 +4,13 @@ import pytest
 
 from repro.errors import (CaratError, ConfigurationError,
                           ConvergenceError, RecoveryError,
-                          SimulationError)
+                          RetiredRowError, SimulationError)
 
 
 class TestHierarchy:
     @pytest.mark.parametrize("exc", [ConfigurationError,
                                      ConvergenceError, SimulationError,
-                                     RecoveryError])
+                                     RecoveryError, RetiredRowError])
     def test_all_derive_from_carat_error(self, exc):
         assert issubclass(exc, CaratError)
 
