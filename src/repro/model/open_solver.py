@@ -160,6 +160,13 @@ class OpenBatch:
         return np.array([error is None for error in self.errors],
                         dtype=bool)
 
+    def meets_target(self, response_target_ms: float) -> np.ndarray:
+        """``(K,)`` mask of rows that converged with a mean response
+        within *response_target_ms*; a targeted solve calls every other
+        finished row a miss."""
+        return _meets_target(self.errors, self.mean_response_ms,
+                             response_target_ms)
+
     def solution(self, row: int) -> OpenSolution:
         """Row *row* as an :class:`OpenSolution`; raises the row's
         typed error when it has no steady state."""
@@ -202,10 +209,11 @@ def solve_open_batch(
     """Solve *workload* with every arrival rate multiplied by each of
     *scales*, one row per scale.
 
-    With *response_target_ms* the scales must be strictly ascending and
-    the solve serves a search for the last row that meets the target.
-    A finished row *misses* it when it carries a typed error or its
-    arrival-weighted mean response exceeds the target; once one has,
+    With *response_target_ms* the scales must be ascending (equal
+    scales give identical rows) and the solve serves a search for the
+    last row that meets the target.  A finished row *misses* it when
+    it carries a typed error or its arrival-weighted mean response
+    exceeds the target (:meth:`OpenBatch.meets_target`); once one has,
     every still-running row above the lowest such row stops at that
     iteration with a :class:`~repro.errors.RetiredRowError`.  Rows are
     independent, so every row up to the first miss is bit-identical to
@@ -215,7 +223,7 @@ def solve_open_batch(
     ------
     ConfigurationError
         If the workload carries no traffic, a scale is not positive,
-        the scales of a targeted solve are not strictly ascending, or
+        the scales of a targeted solve descend anywhere, or
         a phase chain yields a negative visit count.  Per-row outcomes
         (saturation, an invalid abort probability, non-convergence,
         retirement) do not raise; they land in
@@ -231,9 +239,9 @@ def solve_open_batch(
     if scale.size == 0 or not np.all(np.isfinite(scale) & (scale > 0.0)):
         raise ConfigurationError(
             f"arrival scales must be positive and finite, got {scales}")
-    if response_target_ms is not None and np.any(np.diff(scale) <= 0.0):
+    if response_target_ms is not None and np.any(np.diff(scale) < 0.0):
         raise ConfigurationError(
-            f"a targeted solve needs strictly ascending scales, got {scales}")
+            f"a targeted solve needs ascending scales, got {scales}")
     if max_iterations < 1:
         raise ConfigurationError(
             f"max_iterations must be >= 1, got {max_iterations}")
@@ -353,13 +361,13 @@ def solve_open_batch(
             errors[k] = _row_error(
                 keys, site_names, i, saturated, u_cpu, u_disk, invalid,
                 pa_old, sig_old, per_lock, residual, iteration, tolerance)
-        alive[al[done]] = False
-        if response_target_ms is None:
-            continue
         finished = al[done]
+        alive[finished] = False
+        if response_target_ms is None or finished.size == 0:
+            continue
         mean = _mean_response(rate_ms[finished] * 1e3, response[finished])
-        failed = (bad | ~(residual < tolerance))[done]  # a typed error
-        missed = finished[failed | ~(mean <= response_target_ms)]
+        missed = finished[~_meets_target([errors[k] for k in finished],
+                                         mean, response_target_ms)]
         if missed.size == 0:
             continue
         # Every row still running lies below earlier misses, so the
@@ -399,6 +407,15 @@ def _mean_response(arrival_per_s: np.ndarray,
     from repro.model.outer import _seq_sum_last
     return (_seq_sum_last(arrival_per_s * response)
             / _seq_sum_last(arrival_per_s))
+
+
+def _meets_target(errors, mean_response_ms: np.ndarray,
+                  response_target_ms: float) -> np.ndarray:
+    """Rows without a typed error whose arrival-weighted mean response
+    is within the target: the one test behind a targeted solve's
+    misses and :meth:`OpenBatch.meets_target`."""
+    converged = np.array([error is None for error in errors], dtype=bool)
+    return converged & (mean_response_ms <= response_target_ms)
 
 
 def _row_error(keys, site_names, i, saturated, u_cpu, u_disk, invalid,

@@ -523,8 +523,12 @@ def slo_max_mpl(evaluator: PlanEvaluator, grid: tuple[int, ...],
     some boundary) — which holds for response-time and abort-rate
     targets, both nondecreasing in population — and bisects, so only
     ``O(log |grid|)`` points are solved.  The upper end of the bracket
-    starts past the grid, so the top MPL (whose solve costs the most)
-    is solved only when every lower probe was feasible.
+    starts past the grid, so the top MPL is solved only when every
+    lower probe was feasible.  That pays off when the boundary lies
+    below the top, where exact-MVA solves cost the most; when every MPL
+    meets the target it takes about ``log2 |grid|`` probes up the grid
+    instead of one top probe, and only the probes the memo has not
+    already solved cost anything.
     """
     if not predicate(evaluator.point(grid[0])):
         return None, None
@@ -569,19 +573,15 @@ def slo_max_arrival_per_s(
     total_users = sum(sum(bases.values()) for bases in counts.values())
 
     def feasible(per_user_rates: np.ndarray) -> np.ndarray:
-        # Rates too close to ascend strictly (a bracket far narrower
-        # than the default resolution) are solved untargeted.
-        ascending = np.all(np.diff(per_user_rates) > 0.0)
-        target = response_target_ms if ascending else None
         try:
             batch = solve_open_batch(
                 OpenWorkload(template=workload, arrivals_per_s=counts),
-                sites, per_user_rates, response_target_ms=target)
+                sites, per_user_rates,
+                response_target_ms=response_target_ms)
         except ConfigurationError:
             # No traffic or no valid phase chain: no rate is feasible.
             return np.zeros(len(per_user_rates), dtype=bool)
-        return batch.converged & (batch.mean_response_ms
-                                  <= response_target_ms)
+        return batch.meets_target(response_target_ms)
 
     ladder = 1e-3 * 2.0 ** np.arange(max(0, max_doublings) + 1)
     ok = feasible(ladder)

@@ -107,11 +107,25 @@ def test_open_iterations_count_only_iterations_run(sites):
         == cut.iterations.sum() < full.iterations.sum()
 
 
-@pytest.mark.parametrize("scales", [[2.0, 1.0], [1.0, 1.0],
-                                    [0.5, 2.0, 1.0]])
+@pytest.mark.parametrize("scales", [[2.0, 1.0], [0.5, 2.0, 1.0]])
 def test_targeted_solve_needs_ascending_scales(sites, scales):
     with pytest.raises(ConfigurationError, match="ascending"):
         solve_open_batch(_unit(mb4(4)), sites, scales,
                          response_target_ms=1e4)
     # Untargeted solves take the scales in any order.
     solve_open_batch(_unit(mb4(4)), sites, scales)
+
+
+def test_equal_scales_retire_like_their_twin(sites):
+    """Equal scales give identical rows, so a targeted solve accepts
+    them and the twin of the first miss finishes with it."""
+    scales = [0.01, 0.02, 0.02, 0.03]
+    workload = STANDARD_WORKLOADS["MB4"](4)
+    full = solve_open_batch(_unit(workload), sites, scales)
+    target = float(full.mean_response_ms[1]) * (1.0 - 1e-9)
+    cut = solve_open_batch(_unit(workload), sites, scales,
+                           response_target_ms=target)
+    assert list(cut.meets_target(target)) == [True, False, False, False]
+    assert np.array_equal(cut.response_ms[:3], full.response_ms[:3])
+    assert cut.iterations[1] == cut.iterations[2]
+    assert type(cut.errors[2]) is type(full.errors[2])
