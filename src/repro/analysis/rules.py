@@ -41,6 +41,7 @@ HOT_PATHS: dict[str, frozenset[str]] = {
         "locks_held",
         "conflict_rates",
         "abort_state",
+        "iterate_rows",
         "_BatchEngine._rebuild",
         "_BatchEngine._solve_mva",
         "_BatchEngine._absorb",

@@ -17,15 +17,16 @@ commit waits (RW, CW) are not modelled here.
 
 :func:`solve_open_batch` solves one workload at ``K`` arrival scales
 as one ``(K, M)`` array program over the flattened ``(site, chain)``
-states.  It shares the closed engine's array steps
-(:mod:`repro.model.outer`): the stacked visit solve, the demand
-assembly, ``L_h`` (Eq. 14), the holder-mass ``Pb``/``Pd``/``R_LW``
-block (Eqs. 15-20) and ``E[Y]`` (Eq. 11).  Each row converges on its
-own and keeps the typed outcome a single solve would raise: saturated
-(a utilization reached 1), infeasible (``P_a`` or ``sigma`` left its
-range) or not converged within the iteration budget.  Given a response
-target, a search's batch also retires every row above the lowest one
-that has missed it: those rows' answers cannot move the search.
+states.  It shares the closed engine's pieces (:mod:`repro.model.outer`):
+the per-state :class:`~repro.model.outer.StateTable`, the array steps
+(visits, demand assembly, ``L_h`` of Eq. 14, the ``Pb``/``Pd``/``R_LW``
+block of Eqs. 15-20, ``E[Y]`` of Eq. 11) and the masked row driver
+:func:`~repro.model.outer.iterate_rows`, which stops each row when it
+converges, runs out of budget or fails.  A failed row keeps the typed
+error a single solve raises: saturated (a utilization reached 1) or
+infeasible (``P_a`` or ``sigma`` left its range).  Given a response
+target, the driver's stop hook also retires every row above the lowest
+one that has missed it: those rows' answers cannot move the search.
 :func:`solve_open_model` is the one-row call.
 
 The closed solver remains the faithful reproduction; this one answers
@@ -42,9 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError, ConvergenceError, RetiredRowError
-from repro.model import locking
 from repro.model.parameters import SiteParameters
-from repro.model.phases import NO_CONFLICT, transition_matrix
 from repro.model.types import PHASE_ORDER, BaseType, ChainType, Phase
 from repro.model.workload import WorkloadSpec
 from repro.obs import metrics as obs
@@ -164,7 +163,7 @@ class OpenBatch:
         """``(K,)`` mask of rows that converged with a mean response
         within *response_target_ms*; a targeted solve calls every other
         finished row a miss."""
-        return _meets_target(self.errors, self.mean_response_ms,
+        return _meets_target(self.converged, self.mean_response_ms,
                              response_target_ms)
 
     def solution(self, row: int) -> OpenSolution:
@@ -231,8 +230,8 @@ def solve_open_batch(
     """
     # Imported here, as every caller of the closed engine does, so that
     # importing the model package does not load the engine module.
-    from repro.model.outer import (PhaseCostTable, _seq_sum_last,
-                                   abort_state, conflict_rates,
+    from repro.model.outer import (StateTable, _seq_sum_last, abort_state,
+                                   conflict_rates, iterate_rows,
                                    locks_held, phase_visits)
 
     scale = np.asarray(scales, dtype=float).reshape(-1)
@@ -259,26 +258,9 @@ def solve_open_batch(
     K, M, S = scale.size, len(keys), len(site_names)
 
     # Static per-state structure, shared by every row: (1, M) arrays.
-    site_of = np.array([site_names.index(name) for name, _ in keys])
-    chains = [chain for _, chain in keys]
-    is_update = np.array([c.is_update for c in chains])
-    same_site = site_of[:, None] == site_of[None, :]
-    can_block = same_site & (is_update[None, :] | is_update[:, None])
+    table = StateTable(keys, site_names, [(template, sites)])
+    locks, site_of = table.locks, table.site_of
     at_site = site_of[None, :] == np.arange(S)[:, None]        # (S, M)
-    locks = np.zeros((1, M))
-    gran = np.zeros((1, M))
-    p0 = np.zeros((1, M, len(PHASE_ORDER), len(PHASE_ORDER)))
-    costs = PhaseCostTable((1, M))
-    for m, (site_name, chain) in enumerate(keys):
-        site = sites[site_name]
-        base = costs.fill((0, m), site, template, chain)
-        locks[0, m] = base.locks
-        gran[0, m] = locking.effective_granules(template, site)
-        p0[0, m] = transition_matrix(
-            chain, template.local_requests(chain),
-            template.remote_requests(chain), base.ios_per_request,
-            NO_CONFLICT)
-    br = (2.0 * locks + 1.0) / (6.0 * locks)
     rate_ms = np.array(base_rate)[None, :] * scale[:, None] / 1e3
 
     # Iterates, one row per scale.
@@ -289,21 +271,16 @@ def solve_open_batch(
                          (K, M)).copy()
     lh, r_lw, response = np.zeros((K, M)), np.zeros((K, M)), np.zeros((K, M))
     rho_cpu, rho_disk = np.zeros((K, S)), np.zeros((K, S))
-    iterations = np.zeros(K, dtype=np.int64)
     errors: list[Exception | None] = [None] * K
     omd = 1.0 - damping
 
-    alive = np.ones(K, dtype=bool)
-    iteration = 0
-    # caratlint: disable=CL002 -- damped fixed-point iteration; every
-    # step inside is an array operation over the alive rows
-    while alive.any():
-        iteration += 1
-        al = np.nonzero(alive)[0]
+    def step(al, _iteration):
+        """One damped iteration of rows *al*: their residuals, and the
+        rows that saturated or left the lock model's range."""
         rate = rate_ms[al]
-        v = phase_visits(p0, np.zeros(len(al), dtype=np.intp), pb[al],
-                         pd[al])
-        cpu_ms, db_ms, lg_ms, _dbio, _lgio, _ta = costs.demands(
+        v = phase_visits(table.p0, np.zeros(len(al), dtype=np.intp),
+                         pb[al], pd[al])
+        cpu_ms, db_ms, lg_ms, _dbio, _lgio, _ta = table.costs.demands(
             v, ns[al], ey[al], slice(None))
         disk_ms = db_ms + lg_ms
         lw_visits = ns[al] * v[:, :, _ILW]
@@ -327,7 +304,6 @@ def solve_open_batch(
         change = np.where(prev > 0.0,
                           np.abs(resp - prev) / np.where(prev > 0.0, prev, 1.0),
                           1.0)
-        residual = change.max(axis=1)
         blocked = np.where(resp > 0.0, lw / np.where(resp > 0.0, resp, 1.0),
                            0.0)
 
@@ -338,7 +314,8 @@ def solve_open_batch(
         lh_a = omd * lh[al] + damping * locks_held(
             locks, pa_old, sig_old, resp, 0.0)
         new_pb, new_pd, new_rlw = conflict_rates(
-            rate * resp, lh_a, gran, blocked, act, locks, br, can_block)
+            rate * resp, lh_a, table.gran, blocked, act, locks, table.br,
+            table.can_block)
         pb_a = omd * pb[al] + damping * new_pb
         pd_a = omd * pd[al] + damping * new_pd
         per_lock = pb_a * pd_a
@@ -353,36 +330,39 @@ def solve_open_batch(
         ey[al], sigma[al] = ey_a, sigma_a
 
         bad = saturated | invalid.any(axis=1)
-        done = bad | (residual < tolerance) | (iteration >= max_iterations)
-        # caratlint: disable=CL002 -- typed outcome of finished rows only
-        for i in np.nonzero(done)[0]:
-            k = int(al[i])
-            iterations[k] = iteration
-            errors[k] = _row_error(
-                keys, site_names, i, saturated, u_cpu, u_disk, invalid,
-                pa_old, sig_old, per_lock, residual, iteration, tolerance)
-        finished = al[done]
-        alive[finished] = False
-        if response_target_ms is None or finished.size == 0:
-            continue
+        for i in np.nonzero(bad)[0]:
+            errors[al[i]] = _row_error(keys, site_names, i, saturated,
+                                       u_cpu, u_disk, invalid, pa_old,
+                                       sig_old, per_lock)
+        return change.max(axis=1), bad
+
+    def retire(iteration, finished, converged, alive):
+        """Rows above the lowest row that has missed the target."""
         mean = _mean_response(rate_ms[finished] * 1e3, response[finished])
-        missed = finished[~_meets_target([errors[k] for k in finished],
-                                         mean, response_target_ms)]
+        missed = finished[~_meets_target(converged[finished], mean,
+                                         response_target_ms)]
         if missed.size == 0:
-            continue
+            return missed
         # Every row still running lies below earlier misses, so the
         # lowest miss of this iteration is the lowest so far.
         first = int(missed.min())
         retired = np.nonzero(alive)[0]
         retired = retired[retired > first]
-        iterations[retired] = iteration
-        # caratlint: disable=CL002 -- typed outcome of retired rows only
         for k in retired:
             errors[k] = RetiredRowError(
                 f"row {k} retired: row {first} missed the "
                 f"{response_target_ms} ms target",
                 iterations=iteration, missed_row=first)
-        alive[retired] = False
+        return retired
+
+    iterations, residual, converged = iterate_rows(
+        step, np.full(K, tolerance), np.full(K, max_iterations),
+        stop=None if response_target_ms is None else retire)
+    for k in np.nonzero(~converged)[0]:
+        if errors[k] is None:
+            errors[k] = ConvergenceError("open model did not converge",
+                                         iterations=int(iterations[k]),
+                                         residual=float(residual[k]))
 
     arrival_per_s = rate_ms * 1e3
     mean_response = _mean_response(arrival_per_s, response)
@@ -409,40 +389,33 @@ def _mean_response(arrival_per_s: np.ndarray,
             / _seq_sum_last(arrival_per_s))
 
 
-def _meets_target(errors, mean_response_ms: np.ndarray,
+def _meets_target(converged: np.ndarray, mean_response_ms: np.ndarray,
                   response_target_ms: float) -> np.ndarray:
-    """Rows without a typed error whose arrival-weighted mean response
-    is within the target: the one test behind a targeted solve's
-    misses and :meth:`OpenBatch.meets_target`."""
-    converged = np.array([error is None for error in errors], dtype=bool)
+    """Converged rows whose arrival-weighted mean response is within the
+    target: the one test behind a targeted solve's misses and
+    :meth:`OpenBatch.meets_target`."""
     return converged & (mean_response_ms <= response_target_ms)
 
 
 def _row_error(keys, site_names, i, saturated, u_cpu, u_disk, invalid,
-               pa, sigma, per_lock, residual, iteration,
-               tolerance) -> Exception | None:
-    """The typed error a single solve of finished row *i* raises, in
-    the scalar loop's order of checks (``None`` when it converged)."""
+               pa, sigma, per_lock) -> ConfigurationError:
+    """The typed error a single solve raises for row *i*, which
+    saturated or left the lock model's range, in the scalar loop's
+    order of checks."""
     if saturated[i]:
         s = int(np.argmax((u_cpu[i] >= 1.0) | (u_disk[i] >= 1.0)))
         return ConfigurationError(
             f"site {site_names[s]} saturated (cpu {u_cpu[i, s]:.2f}, "
             f"disk {u_disk[i, s]:.2f}); reduce arrival rates")
-    if invalid[i].any():
-        m = int(np.argmax(invalid[i]))
-        site_name, chain = keys[m]
-        if not 0.0 <= pa[i, m] < 1.0:
-            detail = f"abort probability {pa[i, m]} invalid"
-        elif not 0.0 <= sigma[i, m] <= 1.0:
-            detail = f"sigma {sigma[i, m]} invalid"
-        else:
-            detail = f"Pb*Pd={per_lock[i, m]} is not a probability"
-        return ConfigurationError(f"{detail} ({chain.value} at {site_name})")
-    if residual[i] < tolerance:
-        return None
-    return ConvergenceError("open model did not converge",
-                            iterations=iteration,
-                            residual=float(residual[i]))
+    m = int(np.argmax(invalid[i]))
+    site_name, chain = keys[m]
+    if not 0.0 <= pa[i, m] < 1.0:
+        detail = f"abort probability {pa[i, m]} invalid"
+    elif not 0.0 <= sigma[i, m] <= 1.0:
+        detail = f"sigma {sigma[i, m]} invalid"
+    else:
+        detail = f"Pb*Pd={per_lock[i, m]} is not a probability"
+    return ConfigurationError(f"{detail} ({chain.value} at {site_name})")
 
 
 def solve_open_model(

@@ -18,13 +18,13 @@ one ``(B, M)`` tensor program, where ``M`` indexes the flattened
   the same ``(B, M)`` iterate arrays.
 
 **Convergence masking.**  Each batch element carries its own damping,
-tolerance and iteration budget.  Per outer iteration the engine only
-advances the *alive* elements (``residual >= tolerance`` and budget
-left); a converged element's iterates, demands and MVA solutions are
-frozen at the iteration it converged on, so its final state is
-bit-identical to solving it alone (every array operation here is
-row-independent, and the MVA kernels freeze per-element the same way).
-Finished elements therefore stop paying for the stragglers.
+tolerance and iteration budget.  The masked row driver
+:func:`iterate_rows`, shared with the open solver, steps only the
+*alive* elements (``residual >= tolerance`` and budget left); a
+converged element's iterates, demands and MVA solutions are frozen at
+the iteration it converged on, so its final state is bit-identical to
+solving it alone (every array operation here is row-independent, and
+the MVA kernels freeze per-element the same way).
 
 **Equivalence.**  Cross-chain reductions (holder-mass sums, partner
 averages, site totals) are accumulated sequentially in state order to
@@ -45,13 +45,13 @@ builders of :mod:`repro.model.solver`.
 ``CaratModel.site_network`` and ``CaratModel.snapshot``.  The scalar
 form lives only in the oracle module :mod:`repro.model.solver_reference`.
 
-**Shared array steps.**  The stacked visit solve
-(:func:`phase_visits`), the demand assembly (:class:`PhaseCostTable`),
-``L_h`` (:func:`locks_held`), the holder-mass ``Pb``/``Pd``/``R_LW``
-block (:func:`conflict_rates`) and ``E[Y]``/``sigma``
-(:func:`abort_state`) are module-level functions, so the open-arrival
-solver (:func:`repro.model.open_solver.solve_open_batch`) runs the
-same lock update as the closed engine.
+**Shared array steps.**  The per-state setup (:class:`StateTable`),
+the stacked visit solve (:func:`phase_visits`), the demand assembly
+(:class:`PhaseCostTable`), ``L_h`` (:func:`locks_held`), the
+holder-mass ``Pb``/``Pd``/``R_LW`` block (:func:`conflict_rates`),
+``E[Y]``/``sigma`` (:func:`abort_state`) and the row driver are
+module-level, so the open-arrival solver
+(:func:`repro.model.open_solver.solve_open_batch`) shares them.
 """
 
 from __future__ import annotations
@@ -367,6 +367,89 @@ def abort_state(locks: np.ndarray, per_lock: np.ndarray
     return ey, np.where(locks <= 0.0, 0.0, ey / locks_safe)
 
 
+class StateTable:
+    """What both engines derive from ``M`` ``(site, chain)`` states and
+    ``R`` ``(workload, sites)`` rows: each state's site index
+    ``site_of`` and the ``(M, M)`` same-site, conflicting-mode mask
+    ``can_block``; per row and state (``(R, M)``), the phase ``costs``,
+    ``locks``, effective granules ``gran``, I/Os per request ``qv``,
+    local/remote requests ``lreq``/``rreq``, the Eq. 19 blocking ratio
+    ``br`` and the ``(R, M, P, P)`` no-conflict chains ``p0``."""
+
+    __slots__ = ("site_of", "can_block", "costs", "locks", "gran", "qv",
+                 "lreq", "rreq", "p0", "br")
+
+    def __init__(self, keys, site_names, rows):
+        site_index = {name: i for i, name in enumerate(site_names)}
+        self.site_of = np.array([site_index[s] for s, _ in keys])
+        is_update = np.array([chain.is_update for _, chain in keys])
+        same_site = self.site_of[:, None] == self.site_of[None, :]
+        self.can_block = same_site & (is_update[None, :]
+                                      | is_update[:, None])
+        shape = (len(rows), len(keys))
+        self.costs = PhaseCostTable(shape)
+        self.locks, self.gran, self.qv, self.lreq, self.rreq = (
+            np.zeros(shape) for _ in range(5))
+        self.p0 = np.zeros(shape + (_NPHASE, _NPHASE))
+        for r, (workload, sites) in enumerate(rows):
+            for m, (site_name, chain) in enumerate(keys):
+                site = sites[site_name]
+                base = self.costs.fill((r, m), site, workload, chain)
+                local = workload.local_requests(chain)
+                remote = workload.remote_requests(chain)
+                self.locks[r, m] = base.locks
+                self.gran[r, m] = locking.effective_granules(workload, site)
+                self.qv[r, m] = base.ios_per_request
+                self.lreq[r, m] = local
+                self.rreq[r, m] = remote
+                self.p0[r, m] = transition_matrix(
+                    chain, local, remote, base.ios_per_request,
+                    NO_CONFLICT)
+        locks_safe = np.where(self.locks > 0.0, self.locks, 1.0)
+        self.br = (2.0 * self.locks + 1.0) / (6.0 * locks_safe)
+
+
+def iterate_rows(step, tolerance: np.ndarray, max_iterations: np.ndarray,
+                 stop=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Iterate ``B`` independent fixed points until every row finishes.
+
+    ``tolerance`` and ``max_iterations`` are ``(B,)`` per-row.
+    ``step(al, iteration)`` advances the ``(A,)`` running rows ``al``
+    by one damped step and returns their ``(A,)`` residual and the
+    ``(A,)`` mask of rows it failed (or ``None``).  A row finishes when
+    failed, converged (residual below tolerance) or out of budget, and
+    the step never sees it again.  After an iteration in which rows
+    finished, ``stop(iteration, finished, converged, alive)`` (indices;
+    ``(B,)`` masks) returns running rows to retire there.  Returns the
+    ``(B,)`` iteration counts, last residuals and convergence mask.
+    """
+    iterations = np.zeros(tolerance.shape, dtype=np.int64)
+    residual = np.full(tolerance.shape, np.inf)
+    converged = np.zeros(tolerance.shape, dtype=bool)
+    alive = np.ones(tolerance.shape, dtype=bool)
+    iteration = 0
+    # caratlint: disable=CL002 -- damped fixed-point iteration; every
+    # step is an array operation over the alive rows
+    while alive.any():
+        iteration += 1
+        al = np.nonzero(alive)[0]
+        res, failed = step(al, iteration)
+        residual[al] = res
+        done = res < tolerance[al]
+        finished = done | (iteration >= max_iterations[al])
+        if failed is not None:
+            done &= ~failed
+            finished |= failed
+        iterations[al[finished]] = iteration
+        converged[al[done]] = True
+        alive[al[finished]] = False
+        if stop is not None and finished.any():
+            retired = stop(iteration, al[finished], converged, alive)
+            iterations[retired] = iteration
+            alive[retired] = False
+    return iterations, residual, converged
+
+
 class _MvaGroup:
     """One stack of same-layout ``(model, site)`` pairs."""
 
@@ -389,8 +472,9 @@ class _MvaGroup:
         self.lattice = 0
 
 
-class _BatchEngine:
-    """Run ``B`` same-layout model solves as one tensor program."""
+class _BatchEngine(StateTable):
+    """Run ``B`` same-layout model solves as one tensor program over
+    their :class:`StateTable` (one row per model)."""
 
     def __init__(self, models):
         self.models = models
@@ -411,17 +495,13 @@ class _BatchEngine:
 
     def _init_static(self) -> None:
         B, M = self.B, self.M
-        site_index = {name: i for i, name in enumerate(self.site_names)}
-        self.site_of = np.array([site_index[s] for s, _ in self.keys])
-        chains = [c for _, c in self.keys]
-        self.chain_of = chains
-        self.is_update = np.array([c.is_update for c in chains])
-        self.is_coord = np.array([c.is_coordinator for c in chains])
-        self.is_slave = np.array([c.is_slave for c in chains])
+        super().__init__(self.keys, self.site_names,
+                         [(model.workload, model.sites)
+                          for model in self.models])
+        self.chain_of = [c for _, c in self.keys]
+        self.is_coord = np.array([c.is_coordinator for c in self.chain_of])
+        self.is_slave = np.array([c.is_slave for c in self.chain_of])
         self.has_rw = self.is_coord | self.is_slave
-        same_site = self.site_of[:, None] == self.site_of[None, :]
-        self.can_block = same_site & (self.is_update[None, :]
-                                      | self.is_update[:, None])
         # partner[m, m'] = 1 when m' is m's counterpart chain at
         # another site (coordinator <-> slave coupling).
         partner = np.zeros((M, M))
@@ -441,68 +521,38 @@ class _BatchEngine:
             for s in range(self.S)
         ]
 
-        # Per-(b, m) structural scalars and cost bases.
+        wls = [model.workload for model in self.models]
+        cfgs = [model.config for model in self.models]
+        self.think = np.array([[wl.think_time_ms] for wl in wls], float)
+        self.damp = np.array([[cfg.damping] for cfg in cfgs], float)
+        self.alpha = np.array([[cfg.alpha_ms] for cfg in cfgs], float)
+        self.rrf = np.array([[1.0 / max(1, len(wl.sites) - 1)]
+                             for wl in wls])
+        self.tol = np.array([cfg.tolerance for cfg in cfgs], float)
+        self.max_it = np.array([cfg.max_iterations for cfg in cfgs],
+                               dtype=np.int64)
+        self.has_ov = np.array([cfg.blocking_ratio_override is not None
+                                for cfg in cfgs])
+        self.override = np.array([cfg.blocking_ratio_override or 0.0
+                                  for cfg in cfgs], float)
         self.pop_i = np.zeros((B, M), dtype=np.int64)
-        self.locks = np.zeros((B, M))
-        self.qv = np.zeros((B, M))
-        self.lreq = np.zeros((B, M))
-        self.rreq = np.zeros((B, M))
-        self.gran = np.zeros((B, M))
-        self.commit_ms = np.zeros((B, M))
         self.records_int: list[list[int]] = []
-        self.costs = PhaseCostTable((B, M))
-        self.p0 = np.zeros((B, M, _NPHASE, _NPHASE))
-        self.think = np.zeros((B, 1))
-        self.damp = np.zeros((B, 1))
-        self.alpha = np.zeros((B, 1))
-        self.rrf = np.zeros((B, 1))
-        self.tol = np.zeros(B)
-        self.max_it = np.zeros(B, dtype=np.int64)
-        self.override = np.zeros(B)
-        self.has_ov = np.zeros(B, dtype=bool)
-
-        for b, model in enumerate(self.models):
-            wl = model.workload
-            cfg = model.config
-            self.think[b, 0] = wl.think_time_ms
-            self.damp[b, 0] = cfg.damping
-            self.alpha[b, 0] = cfg.alpha_ms
-            self.rrf[b, 0] = 1.0 / max(1, len(wl.sites) - 1)
-            self.tol[b] = cfg.tolerance
-            self.max_it[b] = cfg.max_iterations
-            if cfg.blocking_ratio_override is not None:
-                self.override[b] = cfg.blocking_ratio_override
-                self.has_ov[b] = True
-            recs: list[int] = []
+        for b, wl in enumerate(wls):
             pops = {name: wl.chain_populations(name)
                     for name in self.site_names}
+            recs: list[int] = []
             for m, (site_name, chain) in enumerate(self.keys):
-                site = model.sites[site_name]
-                base = self.costs.fill((b, m), site, wl, chain)
-                q = base.ios_per_request
-                local = wl.local_requests(chain)
-                remote = wl.remote_requests(chain)
                 self.pop_i[b, m] = pops[site_name][chain]
-                self.locks[b, m] = base.locks
-                self.qv[b, m] = q
-                self.lreq[b, m] = float(local)
-                self.rreq[b, m] = float(remote)
-                self.gran[b, m] = locking.effective_granules(wl, site)
                 records = wl.requests_per_txn * wl.records_per_request
                 if chain.is_slave:
                     records = wl.records_per_txn(chain)
                 recs.append(records)
-                self.commit_ms[b, m] = (
-                    self.costs.cpu_base[b, m, _PI[Phase.TC]]
-                    + self.costs.db_base[b, m, _PI[Phase.TCIO]]
-                    + self.costs.lg_base[b, m, _PI[Phase.TCIO]])
-                self.p0[b, m] = transition_matrix(
-                    chain, local, remote, q, NO_CONFLICT)
             self.records_int.append(recs)
+        self.commit_ms = (self.costs.cpu_base[:, :, _PI[Phase.TC]]
+                          + self.costs.db_base[:, :, _PI[Phase.TCIO]]
+                          + self.costs.lg_base[:, :, _PI[Phase.TCIO]])
         self.pop_f = self.pop_i.astype(np.float64)
         self.rreq_safe = np.where(self.rreq > 0.0, self.rreq, 1.0)
-        self.locks_safe = np.where(self.locks > 0.0, self.locks, 1.0)
-        self.br = (2.0 * self.locks + 1.0) / (6.0 * self.locks_safe)
         self.omd = 1.0 - self.damp
 
     def _init_iterates(self) -> None:
@@ -572,21 +622,11 @@ class _BatchEngine:
         self.groups = list(groups.values())
         for group in self.groups:
             group.b_idx = np.array([b for b, _ in group.pairs])
-            order0 = self.pair_meta[group.pairs[0]][1]
-            if order0:
-                group.m_idx = np.array(
-                    [self.pair_meta[p][1] for p in group.pairs],
-                    dtype=np.int64,
-                ).reshape(len(group.pairs), len(order0))
-            else:
-                group.m_idx = np.zeros((len(group.pairs), 0),
-                                       dtype=np.int64)
-            if order0:
-                group.pops_all = self.pop_i[
-                    group.b_idx[:, None], group.m_idx]
-            else:
-                group.pops_all = np.zeros((len(group.pairs), 0),
-                                          dtype=np.int64)
+            group.m_idx = np.array(
+                [self.pair_meta[p][1] for p in group.pairs],
+                dtype=np.int64,
+            ).reshape(len(group.pairs), len(group.chains))
+            group.pops_all = self.pop_i[group.b_idx[:, None], group.m_idx]
         self.last_x: dict[tuple[int, int], np.ndarray] = {}
         self.last_r: dict[tuple[int, int], np.ndarray] = {}
         self.last_q: dict[tuple[int, int], np.ndarray] = {}
@@ -666,12 +706,15 @@ class _BatchEngine:
         q0[stack[:, ~group.delay, :] <= 0.0] = 0.0
         return q0
 
-    def _solve_mva(self, alive: np.ndarray) -> None:
+    def _solve_mva(self, al: np.ndarray) -> None:
         """Step 2: batched per-site MVA over all alive pairs.
 
-        ``alive`` is the ``(B,)`` liveness mask; each layout group
-        stacks its alive ``(model, site)`` pairs into one kernel call.
+        ``al`` is the ``(A,)`` vector of alive batch-row indices; each
+        layout group stacks its alive ``(model, site)`` pairs into one
+        kernel call.
         """
+        alive = np.zeros(self.B, dtype=bool)
+        alive[al] = True
         self.cur_inner = np.zeros(self.B, dtype=np.int64)
         self.cur_lattice = np.zeros(self.B, dtype=np.int64)
         # caratlint: disable=CL002 -- a handful of layout groups; each
@@ -932,7 +975,6 @@ class _BatchEngine:
     # ------------------------------------------------------------------
 
     def run(self) -> list[ModelSolution]:
-        B = self.B
         traced = [b for b, model in enumerate(self.models)
                   if model._diag is not None]
         for b in traced:
@@ -944,20 +986,14 @@ class _BatchEngine:
             )
         clock = trace_clock() if traced else None
         prev_res = {b: None for b in traced}
+        self.tot_inner = np.zeros(self.B, dtype=np.int64)
 
-        alive = np.ones(B, dtype=bool)
-        resid = np.full(B, np.inf)
-        iters = np.zeros(B, dtype=np.int64)
-        converged = np.zeros(B, dtype=bool)
-        self.tot_inner = np.zeros(B, dtype=np.int64)
-        iteration = 0
-        while alive.any():
-            iteration += 1
-            al = np.nonzero(alive)[0]
+        def step(al: np.ndarray, iteration: int):
+            """One outer iteration of the ``(A,)`` alive rows ``al``."""
             t0 = clock() if traced else 0.0
             self._rebuild(al)
             t1 = clock() if traced else 0.0
-            self._solve_mva(alive)
+            self._solve_mva(al)
             self.tot_inner += self.cur_inner
             t2 = clock() if traced else 0.0
             before = None
@@ -975,19 +1011,13 @@ class _BatchEngine:
             if self.tm_flag:
                 self._update_tms(al)
             t7 = clock() if traced else 0.0
-
-            resid[al] = res
-            done_now = res < self.tol[al]
-            exhausted = ~done_now & (iteration >= self.max_it[al])
-            finished = done_now | exhausted
-            iters[al[finished]] = iteration
-            converged[al[done_now]] = True
             if traced:
                 self._record_traced(traced, al, iteration, res,
                                     before, prev_res,
                                     (t0, t1, t2, t3, t4, t5, t6, t7))
-            alive[al[finished]] = False
+            return res, None
 
+        iters, resid, converged = iterate_rows(step, self.tol, self.max_it)
         for b in traced:
             self.models[b]._diag.finish(bool(converged[b]),
                                         int(iters[b]),
@@ -1005,9 +1035,8 @@ class _BatchEngine:
 
     def _record_traced(self, traced, al, iteration, res, before,
                        prev_res, times) -> None:
-        from repro.model.diagnostics import IterationRecord
+        from repro.model.diagnostics import PHASE_NAMES, IterationRecord
 
-        t0, t1, t2, t3, t4, t5, t6, t7 = times
         share = 1.0 / len(al)
         pos = {b: i for i, b in enumerate(al)}
         for b in traced:
@@ -1030,15 +1059,9 @@ class _BatchEngine:
                 residual=float(res[i]),
                 chain_residuals=chain_res,
                 field_residuals=field_res,
-                phase_ms={
-                    "demands": (t1 - t0) * 1e3 * share,
-                    "mva": (t2 - t1) * 1e3 * share,
-                    "absorb": (t3 - t2) * 1e3 * share,
-                    "abort": (t4 - t3) * 1e3 * share,
-                    "lock": (t5 - t4) * 1e3 * share,
-                    "remote": (t6 - t5) * 1e3 * share,
-                    "tms": (t7 - t6) * 1e3 * share,
-                },
+                phase_ms={name: (end - start) * 1e3 * share
+                          for name, start, end
+                          in zip(PHASE_NAMES, times, times[1:])},
                 mva_solves=self.S,
                 mva_inner_iterations=int(self.cur_inner[b]),
                 mva_lattice_points=int(self.cur_lattice[b]),
