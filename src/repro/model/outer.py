@@ -485,6 +485,8 @@ class _BatchEngine(StateTable):
         self.M = len(self.keys)
         self.S = len(self.site_names)
         self.tm_flag = head.config.model_tm_serialization
+        super().__init__(self.keys, self.site_names,
+                         [(model.workload, model.sites) for model in models])
         self._init_static()
         self._init_iterates()
         self._init_mva_groups()
@@ -495,9 +497,6 @@ class _BatchEngine(StateTable):
 
     def _init_static(self) -> None:
         B, M = self.B, self.M
-        super().__init__(self.keys, self.site_names,
-                         [(model.workload, model.sites)
-                          for model in self.models])
         self.chain_of = [c for _, c in self.keys]
         self.is_coord = np.array([c.is_coordinator for c in self.chain_of])
         self.is_slave = np.array([c.is_slave for c in self.chain_of])
