@@ -222,8 +222,9 @@ def solve_open_batch(
     ------
     ConfigurationError
         If the workload carries no traffic, a scale is not positive,
-        the scales of a targeted solve descend anywhere, or
-        a phase chain yields a negative visit count.  Per-row outcomes
+        the scales of a targeted solve descend anywhere, or a state's
+        request counts do not form a phase chain
+        (:func:`~repro.model.phases.check_chain`).  Per-row outcomes
         (saturation, an invalid abort probability, non-convergence,
         retirement) do not raise; they land in
         :attr:`OpenBatch.errors`.
@@ -278,8 +279,7 @@ def solve_open_batch(
         """One damped iteration of rows *al*: their residuals, and the
         rows that saturated or left the lock model's range."""
         rate = rate_ms[al]
-        v = phase_visits(table.p0, np.zeros(len(al), dtype=np.intp),
-                         pb[al], pd[al])
+        v = phase_visits(table, slice(None), pb[al], pd[al])
         cpu_ms, db_ms, lg_ms, _dbio, _lgio, _ta = table.costs.demands(
             v, ns[al], ey[al], slice(None))
         disk_ms = db_ms + lg_ms

@@ -10,7 +10,8 @@ one ``(B, M)`` tensor program, where ``M`` indexes the flattened
 * steps 1-2 of the iteration (visits, phase costs, lock counts and the
   LW/RW/CW/UT demand assembly of ``demands.py``/``locking.py``) become
   ``(B, M)`` and ``(B, M, 16)`` array operations — the per-chain
-  transition matrices are solved as one stacked ``linalg.solve``;
+  visit counts are the phase chain's closed form, evaluated as
+  ``(B, M)`` arrays;
 * the per-site MVA solves stack ``(model, site)`` pairs of identical
   layout into single :func:`~repro.queueing.kernels.solve_exact_batch`
   / :func:`~repro.queueing.kernels.solve_schweitzer_batch` calls;
@@ -46,8 +47,8 @@ builders of :mod:`repro.model.solver`.
 form lives only in the oracle module :mod:`repro.model.solver_reference`.
 
 **Shared array steps.**  The per-state setup (:class:`StateTable`),
-the stacked visit solve (:func:`phase_visits`), the demand assembly
-(:class:`PhaseCostTable`), ``L_h`` (:func:`locks_held`), the
+the closed-form visit counts (:func:`phase_visits`), the demand
+assembly (:class:`PhaseCostTable`), ``L_h`` (:func:`locks_held`), the
 holder-mass ``Pb``/``Pd``/``R_LW`` block (:func:`conflict_rates`),
 ``E[Y]``/``sigma`` (:func:`abort_state`) and the row driver are
 module-level, so the open-arrival solver
@@ -64,7 +65,7 @@ from repro.errors import ConfigurationError, ConvergenceError
 from repro.model import demands as demands_mod
 from repro.model import locking
 from repro.model.diagnostics import TRACKED_FIELDS, trace_clock
-from repro.model.phases import NO_CONFLICT, transition_matrix
+from repro.model.phases import check_chain
 from repro.model.results import ModelSolution
 from repro.model.solver import (_EXACT_LATTICE_BUDGET, _MVA_QUEUE_SITE,
                                 _WARM_FIELDS, QUEUEING_CENTERS, ChainRow,
@@ -87,6 +88,10 @@ __all__ = ["solve_outer_batch", "seed_state"]
 
 _PI = {phase: i for i, phase in enumerate(PHASE_ORDER)}
 _NPHASE = len(PHASE_ORDER)
+#: The commit path (TC -> CWC -> TCIO) and abort path (TA -> CWA ->
+#: TAIO): each phase on a path is visited as often as its first.
+_COMMIT = [_PI[Phase.TC], _PI[Phase.CWC], _PI[Phase.TCIO]]
+_ABORT = [_PI[Phase.TA], _PI[Phase.CWA], _PI[Phase.TAIO]]
 
 #: Summation order of the CPU phase-cost dict built by
 #: :func:`repro.model.demands.build_phase_costs` (its insertion order —
@@ -227,50 +232,64 @@ class PhaseCostTable:
         return cpu_ms, db_ms, lg_ms, db_ios, ns * acc, cpu_ta
 
 
-def phase_visits(p0: np.ndarray, rows: np.ndarray, pb: np.ndarray,
-                 pd: np.ndarray, pra: np.ndarray | None = None,
-                 has_rw: np.ndarray | None = None) -> np.ndarray:
+def phase_visits(table: StateTable, rows, pb: np.ndarray,
+                 pd: np.ndarray, pra: np.ndarray | None = None
+                 ) -> np.ndarray:
     """Visit counts per cycle of a stack of phase chains (Eq. 1).
 
-    ``p0`` holds the ``(B, M, P, P)`` no-conflict transition matrices
-    and ``rows`` the ``(A,)`` index of the ``p0`` row behind each of
-    the ``A`` batch rows.  ``pb`` and ``pd`` (``(A, M)``, clamped at
-    1) are patched into the LR and LW rows, and ``pra`` (``(A, M)``)
-    into the RW rows of the ``(M,)`` mask ``has_rw``; without ``pra``
-    the RW rows stay as in ``p0``.  All ``A * M`` traffic equations
-    are solved by one stacked ``linalg.solve``; returns the
+    ``table`` supplies each state's request counts and ``q``, and
+    ``rows`` picks the table rows behind the ``A`` batch rows (an
+    ``(A,)`` index array, or ``slice(None)`` for a ``(1, M)`` table).
+    ``pb``, ``pd`` and ``pra`` are ``(A, M)`` and clamped at 1; without
+    ``pra`` no RW wait ends in a remote abort.  Returns the
     ``(A, M, P)`` visits, ``V_UT = 1``.
+
+    The traffic equations have a closed form (docs/model.md).  With
+    ``a = 1/(q+1)``, each DM entry makes ``k = 1/(a + w)`` DM visits,
+    where ``w = (1-a) Pb Pd`` is the abort chance per DM visit, and
+    returns to TM with probability ``a k = 1 - w k``.  A TM visit goes
+    on to U, DM, RW or TC with probabilities ``n'/C``, ``l/C``,
+    ``r'/C`` and ``1/C`` (``C = 2n' + 1``; ``n' = l + r`` and
+    ``r' = r``, or ``n' = r' = l`` for slaves), so
+    ``V_TM = C / (1 + l w k + r' Pra)``.
     """
-    A, M = pb.shape
-    P = p0[rows]
+    slave = table.slave
+    loc = table.lreq[rows]
+    rem = np.where(slave, loc, table.rreq[rows])
+    n = np.where(slave, loc, loc + rem)
+    c = 2.0 * n + 1.0
+    q = table.qv[rows]
+    to_tm = 1.0 / (q + 1.0)
+    to_lr = q / (q + 1.0)
     pbv = np.minimum(1.0, pb)
     pdv = np.minimum(1.0, pd)
-    iLR, iLW, iRW, iTM, iTA = (_PI[Phase.LR], _PI[Phase.LW],
-                               _PI[Phase.RW], _PI[Phase.TM],
-                               _PI[Phase.TA])
-    iDMIO = _PI[Phase.DMIO]
-    P[:, :, iLR, iDMIO] = 1.0 - pbv
-    P[:, :, iLR, iLW] = pbv
-    P[:, :, iLW, iDMIO] = 1.0 - pdv
-    P[:, :, iLW, iTA] = pdv
-    if pra is not None and has_rw is not None:
-        prv = np.minimum(1.0, pra)
-        P[:, has_rw, iRW, iTM] = 1.0 - prv[:, has_rw]
-        P[:, has_rw, iRW, iTA] = prv[:, has_rw]
+    per_lock = pbv * pdv
+    k = 1.0 / (to_tm + to_lr * per_lock)
+    prv = 0.0 if pra is None else np.minimum(1.0, pra)
+    per_tm = 1.0 / (1.0 + loc * (to_lr * per_lock * k) + rem * prv)
 
-    a = np.ascontiguousarray(
-        (np.eye(_NPHASE) - P).transpose(0, 1, 3, 2))
-    iUT = _PI[Phase.UT]
-    a[:, :, iUT, :] = 0.0
-    a[:, :, iUT, iUT] = 1.0
-    rhs = np.zeros((A, M, _NPHASE))
-    rhs[:, :, iUT] = 1.0
-    v = np.linalg.solve(a.reshape(A * M, _NPHASE, _NPHASE),
-                        rhs.reshape(A * M, _NPHASE, 1))[..., 0]
+    v_tm = c * per_tm
+    v_dm = loc * per_tm * k
+    v_lr = to_lr * v_dm
+    v_lw = pbv * v_lr
+    v_rw = rem * per_tm
+    v = np.empty(pbv.shape + (_NPHASE,))
+    v[:, :, _PI[Phase.UT]] = 1.0
+    v[:, :, _PI[Phase.INIT]] = np.where(slave, 0.0, 1.0)
+    v[:, :, _PI[Phase.U]] = np.where(slave, 0.0, 1.0 + n * per_tm)
+    v[:, :, _PI[Phase.TM]] = v_tm
+    v[:, :, _PI[Phase.DM]] = v_dm
+    v[:, :, _PI[Phase.LR]] = v_lr
+    v[:, :, _PI[Phase.DMIO]] = v_lr * (1.0 - per_lock)
+    v[:, :, _PI[Phase.LW]] = v_lw
+    v[:, :, _PI[Phase.RW]] = v_rw
+    v[:, :, _COMMIT] = per_tm[:, :, None]
+    v[:, :, _ABORT] = (pdv * v_lw + prv * v_rw)[:, :, None]
+    v[:, :, _PI[Phase.UL]] = 1.0
     if np.any(v < -1e-9):
         raise ConfigurationError("negative visit count; matrix is "
                                  "not a valid phase chain")
-    return np.maximum(0.0, v).reshape(A, M, _NPHASE)
+    return np.maximum(0.0, v)
 
 
 def locks_held(locks: np.ndarray, pa: np.ndarray, sigma: np.ndarray,
@@ -373,16 +392,19 @@ class StateTable:
     ``site_of`` and the ``(M, M)`` same-site, conflicting-mode mask
     ``can_block``; per row and state (``(R, M)``), the phase ``costs``,
     ``locks``, effective granules ``gran``, I/Os per request ``qv``,
-    local/remote requests ``lreq``/``rreq``, the Eq. 19 blocking ratio
-    ``br`` and the ``(R, M, P, P)`` no-conflict chains ``p0``."""
+    local/remote requests ``lreq``/``rreq`` and the Eq. 19 blocking
+    ratio ``br``; and the ``(M,)`` mask ``slave`` of slave chains.
+    Every state's chain passes
+    :func:`~repro.model.phases.check_chain`."""
 
-    __slots__ = ("site_of", "can_block", "costs", "locks", "gran", "qv",
-                 "lreq", "rreq", "p0", "br")
+    __slots__ = ("site_of", "slave", "can_block", "costs", "locks",
+                 "gran", "qv", "lreq", "rreq", "br")
 
     def __init__(self, keys, site_names, rows):
         site_index = {name: i for i, name in enumerate(site_names)}
         self.site_of = np.array([site_index[s] for s, _ in keys])
         is_update = np.array([chain.is_update for _, chain in keys])
+        self.slave = np.array([chain.is_slave for _, chain in keys])
         same_site = self.site_of[:, None] == self.site_of[None, :]
         self.can_block = same_site & (is_update[None, :]
                                       | is_update[:, None])
@@ -390,21 +412,18 @@ class StateTable:
         self.costs = PhaseCostTable(shape)
         self.locks, self.gran, self.qv, self.lreq, self.rreq = (
             np.zeros(shape) for _ in range(5))
-        self.p0 = np.zeros(shape + (_NPHASE, _NPHASE))
         for r, (workload, sites) in enumerate(rows):
             for m, (site_name, chain) in enumerate(keys):
                 site = sites[site_name]
                 base = self.costs.fill((r, m), site, workload, chain)
                 local = workload.local_requests(chain)
                 remote = workload.remote_requests(chain)
+                check_chain(chain, local, remote, base.ios_per_request)
                 self.locks[r, m] = base.locks
                 self.gran[r, m] = locking.effective_granules(workload, site)
                 self.qv[r, m] = base.ios_per_request
                 self.lreq[r, m] = local
                 self.rreq[r, m] = remote
-                self.p0[r, m] = transition_matrix(
-                    chain, local, remote, base.ios_per_request,
-                    NO_CONFLICT)
         locks_safe = np.where(self.locks > 0.0, self.locks, 1.0)
         self.br = (2.0 * self.locks + 1.0) / (6.0 * locks_safe)
 
@@ -499,8 +518,6 @@ class _BatchEngine(StateTable):
         B, M = self.B, self.M
         self.chain_of = [c for _, c in self.keys]
         self.is_coord = np.array([c.is_coordinator for c in self.chain_of])
-        self.is_slave = np.array([c.is_slave for c in self.chain_of])
-        self.has_rw = self.is_coord | self.is_slave
         # partner[m, m'] = 1 when m' is m's counterpart chain at
         # another site (coordinator <-> slave coupling).
         partner = np.zeros((M, M))
@@ -639,9 +656,8 @@ class _BatchEngine(StateTable):
 
         ``al`` is the ``(A,)`` vector of alive batch-row indices.
         """
-        v = phase_visits(self.p0, al, self.it["pb"][al],
-                         self.it["pd"][al], self.it["pra"][al],
-                         self.has_rw)
+        v = phase_visits(self, al, self.it["pb"][al], self.it["pd"][al],
+                         self.it["pra"][al])
         ey = self.it["ey"][al]
         ns = self.it["ns"][al]
         (self.cpu_ms[al], self.db_ms[al], self.lg_ms[al], self.dbio[al],
@@ -817,14 +833,14 @@ class _BatchEngine(StateTable):
         survive_ns = np.where(self.is_coord, survive * factor, survive)
         new_pa = 1.0 - survive_ns
         pa = self.it["pa"][al]
-        nonslave = ~self.is_slave
+        nonslave = ~self.slave
         pa = np.where(nonslave, omd * pa + damp * new_pa, pa)
         ns = self.it["ns"][al]
         ns = np.where(nonslave, 1.0 / (1.0 - np.minimum(pa, 0.999)), ns)
 
         # Slaves inherit the distributed transaction's fate from the
         # (averaged) coordinators at the other sites.
-        sm = self.is_slave & (self.partner_cnt > 0.0)
+        sm = self.slave & (self.partner_cnt > 0.0)
         if sm.any():
             own_survive = np.maximum(survive, 1e-12)
             pa_sum = np.zeros_like(pa)
@@ -929,7 +945,7 @@ class _BatchEngine(StateTable):
         new_cw_s = cw_sum / self.partner_safe
 
         coord = self.is_coord & (self.partner_cnt > 0.0)
-        slave = self.is_slave & (self.partner_cnt > 0.0)
+        slave = self.slave & (self.partner_cnt > 0.0)
         r_rw = self.it["r_rw"][al]
         r_cw = self.it["r_cw"][al]
         r_rw = np.where(coord, omd * r_rw + damp * new_rw_c, r_rw)

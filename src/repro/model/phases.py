@@ -27,8 +27,8 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.model.types import ChainType, Phase, PHASE_ORDER
 
-__all__ = ["ConflictProbabilities", "transition_matrix", "visit_counts",
-           "expected_visits_no_conflict"]
+__all__ = ["ConflictProbabilities", "check_chain", "transition_matrix",
+           "visit_counts", "expected_visits_no_conflict"]
 
 _INDEX = {phase: i for i, phase in enumerate(PHASE_ORDER)}
 
@@ -63,6 +63,32 @@ class ConflictProbabilities:
 NO_CONFLICT = ConflictProbabilities()
 
 
+def check_chain(chain: ChainType, local_requests: int,
+                remote_requests: int, ios_per_request: float) -> None:
+    """Reject request counts that do not form a phase chain.
+
+    Raises :class:`~repro.errors.ConfigurationError` for negative
+    request counts, a non-positive ``q(t)``, remote requests on a
+    local or slave chain, a coordinator without one, or a chain that
+    issues no request at all.
+    """
+    loc, r, q = local_requests, remote_requests, ios_per_request
+    if loc < 0 or r < 0:
+        raise ConfigurationError("request counts must be non-negative")
+    if q <= 0:
+        raise ConfigurationError("ios_per_request must be positive")
+    if chain.is_slave and r:
+        raise ConfigurationError(f"slave chain {chain} cannot have "
+                                 f"remote requests")
+    if not chain.is_coordinator and r:
+        raise ConfigurationError(f"local chain {chain} cannot have "
+                                 f"remote requests")
+    if chain.is_coordinator and r < 1:
+        raise ConfigurationError("coordinator needs >= 1 remote request")
+    if loc + r < 1:
+        raise ConfigurationError("a transaction issues >= 1 request")
+
+
 def transition_matrix(
     chain: ChainType,
     local_requests: int,
@@ -93,22 +119,8 @@ def transition_matrix(
         Row-stochastic matrix indexed by
         :data:`repro.model.types.PHASE_ORDER`.
     """
+    check_chain(chain, local_requests, remote_requests, ios_per_request)
     loc, r, q = local_requests, remote_requests, ios_per_request
-    if loc < 0 or r < 0:
-        raise ConfigurationError("request counts must be non-negative")
-    if q <= 0:
-        raise ConfigurationError("ios_per_request must be positive")
-    if chain.is_slave and r:
-        raise ConfigurationError(f"slave chain {chain} cannot have "
-                                 f"remote requests")
-    if not chain.is_coordinator and r:
-        raise ConfigurationError(f"local chain {chain} cannot have "
-                                 f"remote requests")
-    if chain.is_coordinator and r < 1:
-        raise ConfigurationError("coordinator needs >= 1 remote request")
-    if loc + r < 1:
-        raise ConfigurationError("a transaction issues >= 1 request")
-
     pb = conflict.blocking
     pd = conflict.deadlock_victim
     pra = conflict.remote_abort
