@@ -2,11 +2,11 @@
 
 Production builds every chain's phase costs once, when the engine is
 set up, takes the chain's ``q(t)`` and lock count from that build, and
-assembles demands as arrays from then on.  The scalar
-per-chain assembly (``phases.visit_counts`` ->
-``demands.aggregate_demands``) belongs to the oracle in
-``repro.model.solver_reference``, which neither the planner nor the
-sweep runner may load.
+assembles visits and demands as arrays from then on.  The scalar
+per-chain assembly (``phases.transition_matrix`` ->
+``phases.visit_counts`` -> ``demands.aggregate_demands``) belongs to
+the oracle in ``repro.model.solver_reference``, which neither the
+planner nor the sweep runner may load.
 """
 
 import os
@@ -16,8 +16,10 @@ import textwrap
 from pathlib import Path
 
 from repro.model import demands, phases
+from repro.model.open_solver import OpenWorkload, solve_open_batch
 from repro.model.outer import solve_outer_batch
 from repro.model.solver import CaratModel, ModelConfig
+from repro.model.types import BaseType
 from repro.model.workload import lb8, mb8
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -44,6 +46,7 @@ def test_production_runs_no_scalar_demand_assembly(monkeypatch, sites):
     ios = _count_calls(monkeypatch, demands.ios_per_request)
     aggregates = _count_calls(monkeypatch, demands.aggregate_demands)
     visits = _count_calls(monkeypatch, phases.visit_counts)
+    matrices = _count_calls(monkeypatch, phases.transition_matrix)
 
     models = [CaratModel(ModelConfig(workload=mb8(n), sites=sites,
                                      max_iterations=1000))
@@ -52,15 +55,23 @@ def test_production_runs_no_scalar_demand_assembly(monkeypatch, sites):
     presolve = CaratModel(ModelConfig(workload=lb8(8), sites=sites))
     networks = [presolve.site_network(site)
                 for site in presolve.workload.sites]
+    rates = {BaseType.LRO: 0.3, BaseType.LU: 0.1, BaseType.DRO: 0.1,
+             BaseType.DU: 0.05}
+    open_batch = solve_open_batch(
+        OpenWorkload(template=mb8(8),
+                     arrivals_per_s={"A": dict(rates), "B": dict(rates)}),
+        sites, [0.5, 1.0])
 
     chains = (sum(len(site.chains) for solution in solutions
                   for site in solution.sites.values())
-              + sum(len(network.populations) for network in networks))
+              + sum(len(network.populations) for network in networks)
+              + len(open_batch.keys))
     assert len(costs) == chains
     # q(t) (Yao's formula) and N_lk(t) come from that one build.
     assert len(ios) == chains
     assert aggregates == []
     assert visits == []
+    assert matrices == []
 
 
 def test_planner_and_sweeps_never_load_the_oracle():

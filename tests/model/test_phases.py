@@ -1,16 +1,26 @@
 """Tests for the phase-transition matrix and visit counts (Table 1)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
+from repro.model import demands
+from repro.model.open_solver import OpenWorkload, solve_open_batch
+from repro.model.outer import phase_visits
 from repro.model.phases import (ConflictProbabilities,
                                 expected_visits_no_conflict,
                                 transition_matrix, visit_counts)
-from repro.model.types import ChainType, PHASE_ORDER, Phase
+from repro.model.solver import CaratModel, ModelConfig
+from repro.model.solver_reference import ReferenceCaratModel
+from repro.model.types import BaseType, ChainType, PHASE_ORDER, Phase
+from repro.model.workload import WorkloadSpec, mb8
 
 prob = st.floats(0.0, 0.5, allow_nan=False)
+#: A probability with the exact end points drawn often.
+unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 def _index(phase):
@@ -179,3 +189,97 @@ class TestVisitCounts:
     def test_matrix_shape_validated(self):
         with pytest.raises(ConfigurationError):
             visit_counts(np.eye(3))
+
+
+@st.composite
+def chains(draw):
+    """A valid ``(chain, l, r, q)``.  ``q`` spans 0.1-10 around the
+    paper's ~4 I/Os per request; beyond it the dense oracle, not the
+    closed form, loses digits (at ``q = 1e-3`` it is 1.5e-12 from exact
+    rational arithmetic, the closed form 4e-16)."""
+    chain = draw(st.sampled_from(list(ChainType)))
+    loc = draw(st.integers(0 if chain.is_coordinator else 1, 16))
+    remote = draw(st.integers(1, 8)) if chain.is_coordinator else 0
+    q = draw(st.one_of(st.just(1.0), st.floats(0.1, 10.0)))
+    return chain, loc, remote, q
+
+
+def _closed_form(chain, loc, remote, q, pb, pd, pra):
+    """The engines' visit counts for one chain, keyed by phase."""
+    table = SimpleNamespace(slave=np.array([chain.is_slave]),
+                            lreq=np.array([[float(loc)]]),
+                            rreq=np.array([[float(remote)]]),
+                            qv=np.array([[q]]))
+    v = phase_visits(table, slice(None), np.array([[pb]]),
+                     np.array([[pd]]), np.array([[pra]]))
+    return dict(zip(PHASE_ORDER, v[0, 0]))
+
+
+class TestClosedFormVisits:
+    """``outer.phase_visits``, the engines' closed form of Eq. 1,
+    against the dense solve of the traffic equations."""
+
+    @given(case=chains(), pb=unit, pd=unit, pra=unit)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_solve(self, case, pb, pd, pra):
+        closed = _closed_form(*case, pb, pd, pra)
+        dense = visit_counts(transition_matrix(
+            *case, ConflictProbabilities(pb, pd, pra)))
+        for phase in PHASE_ORDER:
+            assert closed[phase] == pytest.approx(
+                dense[phase], rel=1e-12, abs=0.0), phase
+        assert closed[Phase.TC] + closed[Phase.TA] == pytest.approx(
+            1.0, rel=0.0, abs=1e-12)
+
+    @given(case=chains())
+    @settings(max_examples=100, deadline=None)
+    def test_zero_conflict_matches_paper_closed_form(self, case):
+        closed = _closed_form(*case, 0.0, 0.0, 0.0)
+        expected = expected_visits_no_conflict(*case)
+        for phase in PHASE_ORDER:
+            assert closed[phase] == pytest.approx(
+                expected[phase], rel=1e-12, abs=0.0), phase
+
+
+def _lu_ships_one_request(monkeypatch):
+    remote = WorkloadSpec.remote_requests
+
+    def remote_requests(self, chain):
+        return 1 if chain is ChainType.LU else remote(self, chain)
+
+    monkeypatch.setattr(WorkloadSpec, "remote_requests", remote_requests)
+
+
+def _no_ios(monkeypatch):
+    monkeypatch.setattr(demands, "ios_per_request", lambda *args: 0.0)
+
+
+def _open_lu(sites):
+    workload = OpenWorkload(template=mb8(4),
+                            arrivals_per_s={"A": {BaseType.LU: 0.1}})
+    return solve_open_batch(workload, sites, [1.0])
+
+
+def _config(sites):
+    return ModelConfig(workload=mb8(4), sites=sites)
+
+
+class TestMalformedChainInEveryEngine:
+    """``check_chain`` guards both engines' state tables and the
+    oracle's ``transition_matrix`` with the same error."""
+
+    @pytest.mark.parametrize("engine", [
+        lambda s: CaratModel(_config(s)).solve(),
+        lambda s: CaratModel(_config(s)).site_network("A"),
+        _open_lu,
+        lambda s: ReferenceCaratModel(_config(s)).solve(),
+    ], ids=["closed", "presolve", "open", "oracle"])
+    @pytest.mark.parametrize("fault,message", [
+        (_lu_ships_one_request, "local chain .*LU cannot have remote"),
+        (_no_ios, "ios_per_request must be positive"),
+    ], ids=["local-with-remote", "zero-q"])
+    def test_raises_configuration_error(self, monkeypatch, sites, engine,
+                                        fault, message):
+        fault(monkeypatch)
+        with pytest.raises(ConfigurationError, match=message):
+            engine(sites)
