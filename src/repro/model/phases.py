@@ -15,7 +15,10 @@ paper §5.1) is derived here from the slave protocol of §4.2:
 
 Visit counts per transaction cycle (one UT visit) solve the traffic
 equations ``V_c2 = sum_c1 V_c1 * p(c1, c2)`` (paper Eq. 1), normalized
-by ``V_UT = 1``.
+by ``V_UT = 1``.  :func:`visit_counts` solves them densely; that is the
+scalar oracle's path.  The engines evaluate the same chain in closed
+form (:func:`repro.model.outer.phase_visits`), and both check request
+counts with :func:`check_chain`.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ The service demands of the LW, RW and CW delay centers depend on the
 model's own performance measures, so the full model is solved by damped
 successive substitution (paper §6):
 
-1. from the current conflict estimates, build each chain's phase-
-   transition matrix, visit counts and center demands;
+1. from the current conflict estimates, derive each chain's visit
+   counts (Eq. 1) and center demands;
 2. solve each site's closed multi-chain network with MVA;
 3. refresh the lock model (``L_h``, ``Pb``, ``Pd``), the remote-wait
    and 2PC delays and the abort probabilities from the new solution;
