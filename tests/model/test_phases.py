@@ -225,9 +225,14 @@ class TestClosedFormVisits:
         closed = _closed_form(*case, pb, pd, pra)
         dense = visit_counts(transition_matrix(
             *case, ConflictProbabilities(pb, pd, pra)))
+        # The dense LU solve is accurate relative to the largest visit
+        # count, not to each entry: at Pb = 1e-5 its V_LW = 2e-5 is
+        # 3e-12 off (the closed form is exact there), so an entry may
+        # also pass within 1e-15 of the largest count.
+        floor = 1e-15 * max(dense.values())
         for phase in PHASE_ORDER:
             assert closed[phase] == pytest.approx(
-                dense[phase], rel=1e-12, abs=0.0), phase
+                dense[phase], rel=1e-12, abs=floor), phase
         assert closed[Phase.TC] + closed[Phase.TA] == pytest.approx(
             1.0, rel=0.0, abs=1e-12)
 
