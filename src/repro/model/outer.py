@@ -287,8 +287,8 @@ def phase_visits(table: StateTable, rows, pb: np.ndarray,
     v[:, :, _ABORT] = (pdv * v_lw + prv * v_rw)[:, :, None]
     v[:, :, _PI[Phase.UL]] = 1.0
     if np.any(v < -1e-9):
-        raise ConfigurationError("negative visit count; matrix is "
-                                 "not a valid phase chain")
+        raise ConfigurationError("negative visit count; not a valid "
+                                 "phase chain")
     return np.maximum(0.0, v)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.model.solver import CaratModel, ModelConfig, solve_model
 from repro.model.workload import mb8
 
@@ -52,3 +53,10 @@ class TestWarmStart:
         solution = solve_model(mb8(8), sites, max_iterations=1000,
                                warm_start=model.snapshot())
         assert solution.converged
+
+    def test_negative_blocking_seed_is_rejected(self, sites):
+        """A seed whose Pb is negative makes a negative LW visit count,
+        which the visit kernel rejects rather than solving on."""
+        snapshot = {("A", "LU"): {"pb": -0.5, "pd": 1.0}}
+        with pytest.raises(ConfigurationError, match="negative visit"):
+            _solve(sites, 8, warm_start=snapshot)
