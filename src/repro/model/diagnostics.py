@@ -31,7 +31,8 @@ Per outer iteration a :class:`IterationRecord` captures
   size, and
 * damping effectiveness: the ratio of successive residuals (a
   geometric convergence-rate estimate; ~1.0 means the damped update
-  is not contracting).
+  is not contracting) and the damping the iteration used (the solver
+  backs it off when the residual stops shrinking).
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ TRACKED_FIELDS = (
 #: Solver phases timed per outer iteration (milliseconds of wall time).
 PHASE_NAMES = ("demands", "mva", "absorb", "abort", "lock", "remote", "tms")
 
+#: Residual ratios a diagnosis needs before it judges contraction: the
+#: first ratios measure the opening transient, not the rate.
+_MIN_RATIOS = 3
+
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -105,6 +110,9 @@ class IterationRecord:
     #: iteration.  Values near (or above) 1.0 mean the damped update is
     #: not contracting.
     contraction: float | None = None
+    #: Damping of this iteration's update; it falls below the config's
+    #: starting damping where the solver backed off.
+    damping: float | None = None
 
     @property
     def wall_ms(self) -> float:
@@ -130,6 +138,7 @@ class IterationRecord:
             "mva_inner_iterations": self.mva_inner_iterations,
             "mva_lattice_points": self.mva_lattice_points,
             "contraction": self.contraction,
+            "damping": self.damping,
         }
 
 
@@ -222,23 +231,24 @@ class ConvergenceTrace:
         """The ``site/chain`` dominating the final residual."""
         return self.last.worst_chain() if self.last else None
 
+    def _ratios(self, tail: int) -> list[float]:
+        """Positive residual ratios of the last *tail* records."""
+        return [
+            r.contraction
+            for r in list(self._records)[-tail:]
+            if r.contraction is not None and r.contraction > 0.0
+        ]
+
     def contraction_rate(self, tail: int = 10) -> float | None:
         """Geometric-mean residual ratio over the last *tail* records.
 
         Below 1.0 the damped substitution is contracting (smaller is
         faster); at or above 1.0 it is stalled or diverging.
         """
-        ratios = [
-            r.contraction
-            for r in list(self._records)[-tail:]
-            if r.contraction is not None and r.contraction > 0.0
-        ]
+        ratios = self._ratios(tail)
         if not ratios:
             return None
-        product = 1.0
-        for ratio in ratios:
-            product *= ratio
-        return product ** (1.0 / len(ratios))
+        return math.prod(ratios) ** (1.0 / len(ratios))
 
     def phase_totals(self) -> dict[str, float]:
         """Total wall time per solver phase (ms) over retained records."""
@@ -257,16 +267,22 @@ class ConvergenceTrace:
                 f"converged in {self.iterations} iterations "
                 f"(final residual {self.final_residual:.3g})"
             )
-        rate = self.contraction_rate()
         stalled = self.stalled_chain()
         where = f"; slowest chain: {stalled}" if stalled else ""
-        if rate is None:
-            return f"did not converge{where}"
+        if len(self._ratios(10)) < _MIN_RATIOS:
+            return (
+                f"stopped after {len(self._records)} iterations, too few "
+                f"to judge contraction; more iterations needed{where}"
+            )
+        rate = self.contraction_rate()
         if rate >= 1.0:
+            damping = self.last.damping
+            backed = (f" even at damping {damping:.3g}"
+                      if damping is not None else "")
             return (
                 f"not contracting (residual ratio {rate:.3f} >= 1): the "
-                f"damped update oscillates or diverges — lower the "
-                f"damping factor{where}"
+                f"damped update oscillates or diverges{backed} — lower "
+                f"the starting damping{where}"
             )
         # Contracting but out of budget: estimate the shortfall.
         last = self.last

@@ -19,7 +19,9 @@ one ``(B, M)`` tensor program, where ``M`` indexes the flattened
   the same ``(B, M)`` iterate arrays.
 
 **Convergence masking.**  Each batch element carries its own damping,
-tolerance and iteration budget.  The masked row driver
+tolerance and iteration budget; its damping starts at the config's
+and backs off (x0.9, floor 0.3) after each iteration from the third
+on whose residual did not shrink.  The masked row driver
 :func:`iterate_rows`, shared with the open solver, steps only the
 *alive* elements (``residual >= tolerance`` and budget left); a
 converged element's iterates, demands and MVA solutions are frozen at
@@ -67,7 +69,8 @@ from repro.model import locking
 from repro.model.diagnostics import TRACKED_FIELDS, trace_clock
 from repro.model.phases import check_chain
 from repro.model.results import ModelSolution
-from repro.model.solver import (_EXACT_LATTICE_BUDGET, _MVA_QUEUE_SITE,
+from repro.model.solver import (_DAMPING_BACKOFF, _DAMPING_FLOOR,
+                                _EXACT_LATTICE_BUDGET, _MVA_QUEUE_SITE,
                                 _WARM_FIELDS, QUEUEING_CENTERS, ChainRow,
                                 WarmStart, build_site_network,
                                 build_solution, site_centers)
@@ -1001,6 +1004,7 @@ class _BatchEngine(StateTable):
             )
         clock = trace_clock() if traced else None
         prev_res = {b: None for b in traced}
+        last_res = np.full(self.B, np.inf)
         self.tot_inner = np.zeros(self.B, dtype=np.int64)
 
         def step(al: np.ndarray, iteration: int):
@@ -1030,6 +1034,13 @@ class _BatchEngine(StateTable):
                 self._record_traced(traced, al, iteration, res,
                                     before, prev_res,
                                     (t0, t1, t2, t3, t4, t5, t6, t7))
+            if iteration > 2:
+                cut = al[res >= last_res[al]]
+                damp = self.damp[cut]
+                self.damp[cut] = np.maximum(_DAMPING_BACKOFF * damp,
+                                            np.minimum(damp, _DAMPING_FLOOR))
+                self.omd[cut] = 1.0 - self.damp[cut]
+            last_res[al] = res
             return res, None
 
         iters, resid, converged = iterate_rows(step, self.tol, self.max_it)
@@ -1081,6 +1092,7 @@ class _BatchEngine(StateTable):
                 mva_inner_iterations=int(self.cur_inner[b]),
                 mva_lattice_points=int(self.cur_lattice[b]),
                 contraction=contraction,
+                damping=float(self.damp[b, 0]),
             ))
 
     # ------------------------------------------------------------------

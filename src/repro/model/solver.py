@@ -73,6 +73,13 @@ WarmStart = dict[tuple[str, str], dict[str, float]]
 #: entries are invisible to the per-chain warm-start lookup.
 _MVA_QUEUE_SITE = "__mva_queue__"
 
+#: Damping backoff of the §6 fixed point: from the third iteration on,
+#: a solve whose residual did not shrink multiplies its damping by
+#: ``_DAMPING_BACKOFF``, never cutting it below ``_DAMPING_FLOOR`` (a
+#: damping that starts below the floor is never raised).
+_DAMPING_BACKOFF = 0.9
+_DAMPING_FLOOR = 0.3
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -91,7 +98,11 @@ class ModelConfig:
         ``"exact"``, ``"approx"`` or ``"auto"`` (exact while the
         population lattice stays small).
     damping:
-        Weight of the freshly computed iterate in the damped update.
+        Starting weight of the freshly computed iterate in the damped
+        update.  From the third iteration on, each iteration whose
+        residual is not below the previous one multiplies the damping
+        by 0.9, down to a floor of 0.3; a start below the floor is
+        never raised.
     tolerance:
         Convergence threshold on the max relative throughput change.
     max_iterations:
@@ -116,7 +127,7 @@ class ModelConfig:
     sites: dict[str, SiteParameters]
     alpha_ms: float = 0.0
     mva: str = "auto"
-    damping: float = 0.5
+    damping: float = 0.8
     tolerance: float = 1e-6
     max_iterations: int = 400
     raise_on_nonconvergence: bool = True

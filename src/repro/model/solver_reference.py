@@ -32,6 +32,8 @@ from repro.model.phases import (ConflictProbabilities, transition_matrix,
                                 visit_counts)
 from repro.model.results import ModelSolution
 from repro.model.solver import (
+    _DAMPING_BACKOFF,
+    _DAMPING_FLOOR,
     _EXACT_LATTICE_BUDGET,
     _MVA_QUEUE_SITE,
     _WARM_FIELDS,
@@ -124,6 +126,9 @@ class ReferenceCaratModel:
         self.sites = {name: config.sites[name] for name in self.workload.sites}
         self._state: dict[tuple[str, ChainType], _ChainState] = {}
         self._warm_start = warm_start
+        # The damping of the next update: the config's starting
+        # damping, backed off while the residual does not shrink.
+        self._damping = config.damping
         # Last ``(Cq, K)`` Schweitzer queue iterate per site, carried
         # across outer iterations as the inner fixed point's warm start.
         self._mva_queues: dict[str, np.ndarray] = {}
@@ -134,6 +139,7 @@ class ReferenceCaratModel:
         residual = float("inf")
         iterations = 0
         solutions: dict[str, NetworkSolution] = {}
+        last_residual = residual
         for iterations in range(1, self.config.max_iterations + 1):
             for key, state in self._state.items():
                 self._rebuild_demands(key[0], key[1], state)
@@ -148,6 +154,10 @@ class ReferenceCaratModel:
             if self.config.model_tm_serialization:
                 self._update_tm_serialization()
 
+            if iterations > 2 and residual >= last_residual:
+                self._damping = max(_DAMPING_BACKOFF * self._damping,
+                                    min(self._damping, _DAMPING_FLOOR))
+            last_residual = residual
             if residual < self.config.tolerance:
                 break
         else:
@@ -374,7 +384,7 @@ class ReferenceCaratModel:
     def _update_lock_model(self, site_name: str) -> None:
         """Step 3a: refresh L_h, Pb, Pd and R_LW at one site."""
         site = self.sites[site_name]
-        damping = self.config.damping
+        damping = self._damping
         think = self.workload.think_time_ms
 
         populations = {
@@ -451,7 +461,7 @@ class ReferenceCaratModel:
 
     def _update_abort_probabilities(self) -> None:
         """Step 3b: refresh Pra and P_a, coupling sites."""
-        damping = self.config.damping
+        damping = self._damping
         # Remote-abort hazards seen by coordinators: one per remote
         # request, caused by the slave chain at the target site.
         for (site_name, chain), state in self._state.items():
@@ -526,7 +536,7 @@ class ReferenceCaratModel:
         (exponential) waiting time is ``rho S / (1 - rho)``, charged
         once per TM message as a delay-center demand.
         """
-        damping = self.config.damping
+        damping = self._damping
         for site_name in self.workload.sites:
             chains_here = list(self._chain_items(site_name))
             if not chains_here:
@@ -563,7 +573,7 @@ class ReferenceCaratModel:
 
     def _update_remote_waits(self, solutions: dict[str, NetworkSolution]) -> None:
         """Step 3c: refresh R_RW and R_CW from the site solutions."""
-        damping = self.config.damping
+        damping = self._damping
         alpha = self.config.alpha_ms
 
         for (site_name, chain), state in self._state.items():
