@@ -269,23 +269,22 @@ class ConvergenceTrace:
             )
         stalled = self.stalled_chain()
         where = f"; slowest chain: {stalled}" if stalled else ""
-        if len(self._ratios(10)) < _MIN_RATIOS:
+        rate = self.contraction_rate()
+        if rate is None or len(self._ratios(10)) < _MIN_RATIOS:
             return (
                 f"stopped after {len(self._records)} iterations, too few "
                 f"to judge contraction; more iterations needed{where}"
             )
-        rate = self.contraction_rate()
+        last = self.last
         if rate >= 1.0:
-            damping = self.last.damping
-            backed = (f" even at damping {damping:.3g}"
-                      if damping is not None else "")
+            backed = (f" even at damping {last.damping:.3g}"
+                      if last and last.damping is not None else "")
             return (
                 f"not contracting (residual ratio {rate:.3f} >= 1): the "
                 f"damped update oscillates or diverges{backed} — lower "
                 f"the starting damping{where}"
             )
         # Contracting but out of budget: estimate the shortfall.
-        last = self.last
         need = 0
         if self.tolerance and last and last.residual > 0:
             need = math.ceil(math.log(self.tolerance / last.residual) / math.log(rate))

@@ -177,3 +177,29 @@ class TestNonConvergence:
 
     def test_empty_trace_diagnosis(self):
         assert ConvergenceTrace().diagnosis() == "no iterations recorded"
+
+
+class TestDiagnosisRules:
+    @staticmethod
+    def _failed(ratios, damping=0.8):
+        trace = ConvergenceTrace()
+        trace.begin_solve("MB8", 8, tolerance=1e-6, damping=0.8)
+        residual = 0.1
+        trace.append(_record(index=1, residual=residual, damping=0.8))
+        for i, ratio in enumerate(ratios, start=2):
+            residual *= ratio
+            trace.append(_record(index=i, residual=residual,
+                                 contraction=ratio, damping=damping))
+        trace.finish(converged=False, iterations=len(trace),
+                     residual=residual)
+        return trace.diagnosis()
+
+    def test_opening_transient_is_not_judged(self):
+        diagnosis = self._failed([1.07])
+        assert "more iterations needed" in diagnosis
+        assert "not contracting" not in diagnosis
+
+    def test_growth_reports_the_backed_off_damping(self):
+        diagnosis = self._failed([1.1, 1.2, 1.05], damping=0.3)
+        assert "not contracting" in diagnosis
+        assert "even at damping 0.3" in diagnosis
