@@ -11,14 +11,16 @@ each run the rule in their own loop.
 import pytest
 
 import repro.model.outer as outer
+from repro.experiments.runner import solve_sweep_models
 from repro.model.diagnostics import ConvergenceTrace
 from repro.model.solver import ModelConfig, solve_model
 from repro.model.solver_reference import ReferenceCaratModel
 from repro.model.workload import lb8, mb8
 from repro.planner.search import scale_to_mpl
 
-# The parent's fixed damping 0.5 stood this far (largest relative
-# throughput distance) from a tolerance-1e-11 solve on the grid below.
+# The fixed damping 0.5 that the backoff replaced stood this far
+# (largest relative throughput distance) from a tolerance-1e-11 solve
+# on the grid below.
 DISTANCE = 5.6e-6
 
 
@@ -82,8 +84,6 @@ def test_engine_and_oracle_back_off_in_the_same_iterations(sites):
 def test_default_solve_is_near_the_tight_fixed_point(sites):
     """The backoff start 0.8 stands no farther from the fixed point than
     the fixed damping 0.5 did."""
-    from repro.experiments.runner import solve_sweep_models
-
     workloads = [factory(n) for factory in (mb8, lb8) for n in range(2, 41)]
     default = solve_sweep_models(workloads, sites)
     tight = solve_sweep_models(workloads, sites,
