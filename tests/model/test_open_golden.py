@@ -1,14 +1,16 @@
 """Exact output of the batched open-model solve.
 
-Three rate ladders, each pinned bit for bit with ``float.hex``: every
+Four rate ladders, each pinned bit for bit with ``float.hex``: every
 row's per-chain response, blocking, abort probability and submissions,
 its arrival-weighted mean response, its iteration count and the type
 of its typed outcome.  The ladders cover
 
 * MB4 n=8 over 26 half-octave per-user rates, from a vanishing load
   to well past saturation;
-* LB8 n=8 over the same rates, whose slowest row runs out of its
-  300-iteration budget (a ``ConvergenceError`` row);
+* LB8 n=8 over the same rates;
+* MB4 n=24 on eight eighth-octave rates around its saturation point,
+  whose rows just below saturation run out of their 300-iteration
+  budget (``ConvergenceError`` rows);
 * a targeted MB4 n=8 solve, the search's first refinement grid under
   the ``plan-slo`` target, whose rows above the first miss retire.
 
@@ -33,6 +35,11 @@ GOLDEN_PATH = Path(__file__).with_name("open_golden.json")
 
 #: Per-user arrival rates (transactions/s): 26 half-octave steps.
 LADDER = 1e-3 * 2.0 ** np.arange(0.0, 13.0, 0.5)
+
+#: Rungs 30-37 of the eighth-octave ladder ``1e-3 * 2**(k/8)``: MB4
+#: n=24 converges on the first four, runs out of budget on the next
+#: two and saturates on the last two.
+EDGE = 1e-3 * 2.0 ** (np.arange(30, 38) / 8)
 
 #: MB4 n=8's response target in the ``plan-slo`` benchmark (ms).
 TARGET_MS = 13_900.0
@@ -63,6 +70,8 @@ CASES = {
         _per_user(mb4(8)), s, LADDER),
     "lb8-n8-ladder": lambda s: solve_open_batch(
         _per_user(lb8(8)), s, LADDER),
+    "mb4-n24-edge": lambda s: solve_open_batch(
+        _per_user(mb4(24)), s, EDGE),
     "mb4-n8-targeted": lambda s: solve_open_batch(
         _per_user(mb4(8)), s, _refinement_grid(s),
         response_target_ms=TARGET_MS),
@@ -110,7 +119,7 @@ def test_ladders_cover_every_outcome(golden):
                 for error in case["errors"]}
     assert outcomes == {None, "ConfigurationError", "ConvergenceError",
                         "RetiredRowError"}
-    assert 300 in golden["lb8-n8-ladder"]["iterations"]
+    assert 300 in golden["mb4-n24-edge"]["iterations"]
 
 
 if __name__ == "__main__":
