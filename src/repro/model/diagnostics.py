@@ -84,6 +84,10 @@ PHASE_NAMES = ("demands", "mva", "absorb", "abort", "lock", "remote", "tms")
 #: first ratios measure the opening transient, not the rate.
 _MIN_RATIOS = 3
 
+#: A shortfall estimate above this multiple of the iterations already
+#: run reads as a stall, not as slow contraction.
+_STALL_FACTOR = 10
+
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -288,6 +292,13 @@ class ConvergenceTrace:
         need = 0
         if self.tolerance and last and last.residual > 0:
             need = math.ceil(math.log(self.tolerance / last.residual) / math.log(rate))
+        ran = self.iterations or len(self._records)
+        if round(rate, 3) >= 1.0 or need > _STALL_FACTOR * ran:
+            return (
+                f"stalled (residual ratio {rate:.6g}): the residual is not "
+                f"settling; ~{need} more iterations at that rate, over "
+                f"{_STALL_FACTOR}x the {ran} already run{where}"
+            )
         return (
             f"contracting slowly (residual ratio {rate:.3f}); "
             f"~{max(need, 1)} more iterations needed{where}"

@@ -22,11 +22,16 @@ the per-state :class:`~repro.model.outer.StateTable`, the array steps
 (visits, demand assembly, ``L_h`` of Eq. 14, the ``Pb``/``Pd``/``R_LW``
 block of Eqs. 15-20, ``E[Y]`` of Eq. 11) and the masked row driver
 :func:`~repro.model.outer.iterate_rows`, which stops each row when it
-converges, runs out of budget or fails.  A failed row keeps the typed
+converges, runs out of budget or fails, and the closed engine's
+damping rule (:func:`~repro.model.outer.back_off_damping`): each row
+starts at the given damping and backs off while its residual does not
+shrink.  A failed row keeps the typed
 error a single solve raises: saturated (a utilization reached 1) or
 infeasible (``P_a`` or ``sigma`` left its range).  Given a response
 target, the driver's stop hook also retires every row above the lowest
 one that has missed it: those rows' answers cannot move the search.
+A *seed* (:meth:`OpenBatch.seed`, one row's final iterate) starts
+every row from that iterate instead of from no contention.
 :func:`solve_open_model` is the one-row call.
 
 The closed solver remains the faithful reproduction; this one answers
@@ -52,6 +57,11 @@ __all__ = ["OpenWorkload", "OpenChainResult", "OpenSolution", "OpenBatch",
            "solve_open_batch", "solve_open_model"]
 
 _ILW = PHASE_ORDER.index(Phase.LW)
+
+#: The open fixed point's iterate fields: what :meth:`OpenBatch.seed`
+#: carries and a seeded :func:`solve_open_batch` starts from.
+ITERATE_FIELDS = ("pb", "pd", "pa", "ns", "sigma", "ey", "lh", "r_lw",
+                  "response")
 
 
 @dataclass(frozen=True)
@@ -152,6 +162,8 @@ class OpenBatch:
     mean_response_ms: np.ndarray        #: (K,), arrival-weighted
     iterations: np.ndarray              #: (K,)
     errors: tuple[Exception | None, ...]
+    #: (K, M) last iterate of each of :data:`ITERATE_FIELDS`
+    iterate: dict[str, np.ndarray]
 
     @property
     def converged(self) -> np.ndarray:
@@ -165,6 +177,12 @@ class OpenBatch:
         finished row a miss."""
         return _meets_target(self.converged, self.mean_response_ms,
                              response_target_ms)
+
+    def seed(self, row: int) -> dict[str, np.ndarray]:
+        """Row *row*'s last iterate, ``(M,)`` per field: the *seed* of
+        another solve of the same workload (:func:`solve_open_batch`)."""
+        return {name: values[row].copy()
+                for name, values in self.iterate.items()}
 
     def solution(self, row: int) -> OpenSolution:
         """Row *row* as an :class:`OpenSolution`; raises the row's
@@ -202,11 +220,16 @@ def solve_open_batch(
     scales: Sequence[float],
     tolerance: float = 1e-6,
     max_iterations: int = 300,
-    damping: float = 0.5,
+    damping: float = 0.8,
     response_target_ms: float | None = None,
+    seed: dict[str, np.ndarray] | None = None,
 ) -> OpenBatch:
     """Solve *workload* with every arrival rate multiplied by each of
     *scales*, one row per scale.
+
+    *damping* is each row's starting damping; from the third iteration
+    on, a row whose residual did not shrink backs it off as the closed
+    engine does (x0.9, never below 0.3).
 
     With *response_target_ms* the scales must be ascending (equal
     scales give identical rows) and the solve serves a search for the
@@ -218,11 +241,17 @@ def solve_open_batch(
     independent, so every row up to the first miss is bit-identical to
     an untargeted solve.  ``None`` runs every row to its own outcome.
 
+    *seed* is the ``(M,)`` iterate of every field in
+    :data:`ITERATE_FIELDS` (:meth:`OpenBatch.seed` of an earlier solve
+    of the same workload); every row starts from it, with the starting
+    damping.  ``None`` starts every row from no contention.
+
     Raises
     ------
     ConfigurationError
         If the workload carries no traffic, a scale is not positive,
-        the scales of a targeted solve descend anywhere, or a state's
+        the scales of a targeted solve descend anywhere, the seed does
+        not hold an ``(M,)`` array per iterate field, or a state's
         request counts do not form a phase chain
         (:func:`~repro.model.phases.check_chain`).  Per-row outcomes
         (saturation, an invalid abort probability, non-convergence,
@@ -232,8 +261,8 @@ def solve_open_batch(
     # Imported here, as every caller of the closed engine does, so that
     # importing the model package does not load the engine module.
     from repro.model.outer import (StateTable, _seq_sum_last, abort_state,
-                                   conflict_rates, iterate_rows,
-                                   locks_held, phase_visits)
+                                   back_off_damping, conflict_rates,
+                                   iterate_rows, locks_held, phase_visits)
 
     scale = np.asarray(scales, dtype=float).reshape(-1)
     if scale.size == 0 or not np.all(np.isfinite(scale) & (scale > 0.0)):
@@ -257,6 +286,11 @@ def solve_open_batch(
         raise ConfigurationError("open workload has no traffic")
     site_names = tuple(dict.fromkeys(name for name, _ in keys))
     K, M, S = scale.size, len(keys), len(site_names)
+    if seed is not None and (
+            set(seed) != set(ITERATE_FIELDS)
+            or any(np.shape(seed[name]) != (M,) for name in seed)):
+        raise ConfigurationError(
+            f"a seed holds an ({M},) array for each of {ITERATE_FIELDS}")
 
     # Static per-state structure, shared by every row: (1, M) arrays.
     table = StateTable(keys, site_names, [(template, sites)])
@@ -264,21 +298,26 @@ def solve_open_batch(
     at_site = site_of[None, :] == np.arange(S)[:, None]        # (S, M)
     rate_ms = np.array(base_rate)[None, :] * scale[:, None] / 1e3
 
-    # Iterates, one row per scale.
-    pb, pd, pa = np.zeros((K, M)), np.zeros((K, M)), np.zeros((K, M))
-    ns = np.ones((K, M))
-    sigma = np.full((K, M), 0.5)
-    ey = np.broadcast_to(abort_state(locks, np.zeros((1, M)))[0],
-                         (K, M)).copy()
-    lh, r_lw, response = np.zeros((K, M)), np.zeros((K, M)), np.zeros((K, M))
+    # Iterates, one row per scale, from the seed or from no contention.
+    start = seed if seed is not None else {
+        "pb": 0.0, "pd": 0.0, "pa": 0.0, "ns": 1.0, "sigma": 0.5,
+        "ey": abort_state(locks, np.zeros((1, M)))[0], "lh": 0.0,
+        "r_lw": 0.0, "response": 0.0}
+    pb, pd, pa, ns, sigma, ey, lh, r_lw, response = (
+        np.broadcast_to(np.asarray(start[name], dtype=float),
+                        (K, M)).copy()
+        for name in ITERATE_FIELDS)
     rho_cpu, rho_disk = np.zeros((K, S)), np.zeros((K, S))
     errors: list[Exception | None] = [None] * K
-    omd = 1.0 - damping
+    damp = np.full((K, 1), float(damping))
+    omd = 1.0 - damp
+    last_res = np.full(K, np.inf)
 
-    def step(al, _iteration):
+    def step(al, iteration):
         """One damped iteration of rows *al*: their residuals, and the
         rows that saturated or left the lock model's range."""
         rate = rate_ms[al]
+        d, o = damp[al], omd[al]
         v = phase_visits(table, slice(None), pb[al], pd[al])
         cpu_ms, db_ms, lg_ms, _dbio, _lgio, _ta = table.costs.demands(
             v, ns[al], ey[al], slice(None))
@@ -311,21 +350,21 @@ def solve_open_batch(
         pa_old, sig_old = pa[al], sigma[al]
         invalid = (resp > 0.0) & ~((pa_old >= 0.0) & (pa_old < 1.0)
                                    & (sig_old >= 0.0) & (sig_old <= 1.0))
-        lh_a = omd * lh[al] + damping * locks_held(
+        lh_a = o * lh[al] + d * locks_held(
             locks, pa_old, sig_old, resp, 0.0)
         new_pb, new_pd, new_rlw = conflict_rates(
             rate * resp, lh_a, table.gran, blocked, act, locks, table.br,
             table.can_block)
-        pb_a = omd * pb[al] + damping * new_pb
-        pd_a = omd * pd[al] + damping * new_pd
+        pb_a = o * pb[al] + d * new_pb
+        pd_a = o * pd[al] + d * new_pd
         per_lock = pb_a * pd_a
         invalid |= (per_lock < 0.0) | (per_lock > 1.0)
-        pa_a = omd * pa_old + damping * (1.0 - (1.0 - per_lock) ** locks)
+        pa_a = o * pa_old + d * (1.0 - (1.0 - per_lock) ** locks)
         ey_a, sigma_a = abort_state(locks, per_lock)
 
         response[al], lh[al] = resp, lh_a
         pb[al], pd[al], pa[al] = pb_a, pd_a, pa_a
-        r_lw[al] = omd * r_lw[al] + damping * new_rlw
+        r_lw[al] = o * r_lw[al] + d * new_rlw
         ns[al] = 1.0 / (1.0 - np.minimum(pa_a, 0.999))
         ey[al], sigma[al] = ey_a, sigma_a
 
@@ -334,7 +373,9 @@ def solve_open_batch(
             errors[al[i]] = _row_error(keys, site_names, i, saturated,
                                        u_cpu, u_disk, invalid, pa_old,
                                        sig_old, per_lock)
-        return change.max(axis=1), bad
+        res = change.max(axis=1)
+        back_off_damping(damp, omd, al, res, last_res, iteration)
+        return res, bad
 
     def retire(iteration, finished, converged, alive):
         """Rows above the lowest row that has missed the target."""
@@ -376,7 +417,9 @@ def solve_open_batch(
         abort_probability=pa, n_submissions=ns,
         cpu_utilization=rho_cpu, disk_utilization=rho_disk,
         mean_response_ms=mean_response, iterations=iterations,
-        errors=tuple(errors))
+        errors=tuple(errors),
+        iterate=dict(zip(ITERATE_FIELDS, (pb, pd, pa, ns, sigma, ey, lh,
+                                          r_lw, response))))
 
 
 def _mean_response(arrival_per_s: np.ndarray,
@@ -423,7 +466,7 @@ def solve_open_model(
     sites: dict[str, SiteParameters],
     tolerance: float = 1e-6,
     max_iterations: int = 300,
-    damping: float = 0.5,
+    damping: float = 0.8,
 ) -> OpenSolution:
     """Solve the open model at the workload's own arrival rates.
 

@@ -52,8 +52,9 @@ form lives only in the oracle module :mod:`repro.model.solver_reference`.
 the closed-form visit counts (:func:`phase_visits`), the demand
 assembly (:class:`PhaseCostTable`), ``L_h`` (:func:`locks_held`), the
 holder-mass ``Pb``/``Pd``/``R_LW`` block (:func:`conflict_rates`),
-``E[Y]``/``sigma`` (:func:`abort_state`) and the row driver are
-module-level, so the open-arrival solver
+``E[Y]``/``sigma`` (:func:`abort_state`), the row driver and its
+damping rule (:func:`back_off_damping`) are module-level, so the
+open-arrival solver
 (:func:`repro.model.open_solver.solve_open_batch`) shares them.
 """
 
@@ -470,6 +471,27 @@ def iterate_rows(step, tolerance: np.ndarray, max_iterations: np.ndarray,
             iterations[retired] = iteration
             alive[retired] = False
     return iterations, residual, converged
+
+
+def back_off_damping(damp: np.ndarray, omd: np.ndarray, al: np.ndarray,
+                     res: np.ndarray, last_res: np.ndarray,
+                     iteration: int) -> None:
+    """The damping rule both engines run after each step, in place.
+
+    From the third iteration on, each running row of ``al`` whose
+    residual ``res`` did not shrink below its ``(B,)`` ``last_res``
+    multiplies its ``(B, 1)`` damping ``damp`` by ``_DAMPING_BACKOFF``,
+    never cutting it below ``_DAMPING_FLOOR`` (a damping that starts
+    below the floor is never raised); ``omd`` keeps ``1 - damp``.
+    ``last_res`` then records ``res``.
+    """
+    if iteration > 2:
+        cut = al[res >= last_res[al]]
+        d = damp[cut]
+        damp[cut] = np.maximum(_DAMPING_BACKOFF * d,
+                               np.minimum(d, _DAMPING_FLOOR))
+        omd[cut] = 1.0 - damp[cut]
+    last_res[al] = res
 
 
 class _MvaGroup:
@@ -1034,13 +1056,8 @@ class _BatchEngine(StateTable):
                 self._record_traced(traced, al, iteration, res,
                                     before, prev_res,
                                     (t0, t1, t2, t3, t4, t5, t6, t7))
-            if iteration > 2:
-                cut = al[res >= last_res[al]]
-                damp = self.damp[cut]
-                self.damp[cut] = np.maximum(_DAMPING_BACKOFF * damp,
-                                            np.minimum(damp, _DAMPING_FLOOR))
-                self.omd[cut] = 1.0 - self.damp[cut]
-            last_res[al] = res
+            back_off_damping(self.damp, self.omd, al, res, last_res,
+                             iteration)
             return res, None
 
         iters, resid, converged = iterate_rows(step, self.tol, self.max_it)

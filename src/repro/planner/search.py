@@ -37,7 +37,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.errors import ConfigurationError, ConvergenceError
-from repro.model.open_solver import OpenWorkload, solve_open_batch
+from repro.model.open_solver import OpenBatch, OpenWorkload, solve_open_batch
 from repro.model.parameters import SiteParameters
 from repro.model.results import USER_CHAINS, ModelSolution
 from repro.model.solver import CaratModel, ModelConfig, WarmStart
@@ -563,46 +563,70 @@ def slo_max_arrival_per_s(
     width.  Every batch carries the target, so its rows above the first
     miss retire instead of running to their own outcome (see
     :func:`~repro.model.open_solver.solve_open_batch`); the bracket only
-    reads rows up to that miss.  Returns ``None`` when even the first
-    rung misses the target (the target is below the no-contention
-    response time), and the ladder top when no rung breaks it.
+    reads rows up to that miss.  Each round starts from the final
+    iterate of the bracket's low end (``seed``): the ladder's last
+    feasible rung, then the row that last became the low end.  Returns
+    ``None`` when even the first rung misses the target (the target is
+    below the no-contention response time), and the ladder top when no
+    rung breaks it.
+
+    Raises
+    ------
+    ConvergenceError
+        If a batch's first miss is a row that ran out of iterations
+        with its mean response still within the target: the search
+        cannot tell whether that rate is feasible.
     """
     counts = {site: {base: float(count)
                      for base, count in bases.items() if count > 0}
               for site, bases in workload.users.items()}
     total_users = sum(sum(bases.values()) for bases in counts.values())
 
-    def feasible(per_user_rates: np.ndarray) -> np.ndarray:
-        try:
-            batch = solve_open_batch(
-                OpenWorkload(template=workload, arrivals_per_s=counts),
-                sites, per_user_rates,
-                response_target_ms=response_target_ms)
-        except ConfigurationError:
-            # No traffic or no valid phase chain: no rate is feasible.
-            return np.zeros(len(per_user_rates), dtype=bool)
-        return batch.meets_target(response_target_ms)
+    def solve(per_user_rates: np.ndarray,
+              seed: dict[str, np.ndarray] | None = None
+              ) -> tuple[np.ndarray, OpenBatch]:
+        """The rows that meet the target, and their batch."""
+        batch = solve_open_batch(
+            OpenWorkload(template=workload, arrivals_per_s=counts),
+            sites, per_user_rates,
+            response_target_ms=response_target_ms, seed=seed)
+        ok = batch.meets_target(response_target_ms)
+        first = int(np.argmin(ok))
+        error = batch.errors[first]
+        if (isinstance(error, ConvergenceError)
+                and batch.mean_response_ms[first] <= response_target_ms):
+            raise ConvergenceError(
+                f"open model did not converge at "
+                f"{per_user_rates[first] * total_users:.6g} tx/s, within the "
+                f"{response_target_ms} ms target so far",
+                iterations=error.iterations, residual=error.residual)
+        return ok, batch
 
     ladder = 1e-3 * 2.0 ** np.arange(max(0, max_doublings) + 1)
-    ok = feasible(ladder)
+    try:
+        ok, batch = solve(ladder)
+    except ConfigurationError:
+        # No traffic or no valid phase chain: no rate is feasible.
+        return None
     if not ok[0]:
         return None
     if ok.all():
         return float(ladder[-1]) * total_users
     top = int(np.argmin(ok))
     lo, hi = float(ladder[top - 1]), float(ladder[top])
+    seed = batch.seed(top - 1)
     rounds = 0
     while (REFINE_POINTS + 1) ** rounds < 2 ** bisections:
         rounds += 1
     steps = np.arange(1, REFINE_POINTS + 1) / (REFINE_POINTS + 1)
     for _ in range(rounds):
         grid = lo + (hi - lo) * steps
-        ok = feasible(grid)
+        ok, batch = solve(grid, seed)
         if ok.all():
-            lo = float(grid[-1])
+            lo, seed = float(grid[-1]), batch.seed(len(grid) - 1)
             continue
         first = int(np.argmin(ok))
         hi = float(grid[first])
         if first:
-            lo = float(grid[first - 1])
+            lo, seed = float(grid[first - 1]), batch.seed(first - 1)
     return lo * total_users

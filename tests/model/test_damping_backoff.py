@@ -5,17 +5,22 @@ iteration on, a solve whose residual did not shrink multiplies its
 damping by 0.9, never below 0.3, and a start below that floor is never
 raised.  The batched engine (:mod:`repro.model.outer`) and the scalar
 oracle (:class:`~repro.model.solver_reference.ReferenceCaratModel`)
-each run the rule in their own loop.
+each run the rule in their own loop.  The open engine
+(:func:`~repro.model.open_solver.solve_open_batch`) runs it per row
+through the same helper, from the same 0.8 start.
 """
 
+import numpy as np
 import pytest
 
 import repro.model.outer as outer
+from repro.errors import ConvergenceError
 from repro.experiments.runner import solve_sweep_models
 from repro.model.diagnostics import ConvergenceTrace
+from repro.model.open_solver import OpenWorkload, solve_open_batch
 from repro.model.solver import ModelConfig, solve_model
 from repro.model.solver_reference import ReferenceCaratModel
-from repro.model.workload import lb8, mb8
+from repro.model.workload import STANDARD_WORKLOADS, lb8, mb8
 from repro.planner.search import scale_to_mpl
 
 # The fixed damping 0.5 that the backoff replaced stood this far
@@ -98,3 +103,35 @@ def test_default_solve_is_near_the_tight_fixed_point(sites):
                 if y > 0.0:
                     worst = max(worst, abs(x - y) / y)
     assert worst <= DISTANCE
+
+
+#: Per-user arrival rates on an eighth-octave ladder, from a vanishing
+#: load to past every open workload's saturation point below.
+OPEN_LADDER = 1e-3 * 2.0 ** (np.arange(96) / 8)
+
+
+def _open_holes(sites, template):
+    """Ladder rows that ran out of budget below a converged row: rates
+    a capacity search would call infeasible under a feasible one."""
+    workload = OpenWorkload(template=template, arrivals_per_s={
+        site: {base: float(count) for base, count in bases.items()
+               if count > 0}
+        for site, bases in template.users.items()})
+    batch = solve_open_batch(workload, sites, OPEN_LADDER)
+    top = np.nonzero(batch.converged)[0].max()
+    return [k for k, error in enumerate(batch.errors)
+            if isinstance(error, ConvergenceError) and k < top]
+
+
+@pytest.mark.parametrize("mix", ["LB8", "MB4", "MB8", "UB6"])
+def test_open_ladder_has_no_feasibility_holes(sites, mix):
+    holes = {n: _open_holes(sites, STANDARD_WORKLOADS[mix](n))
+             for n in (2, 4, 8, 12, 16, 24, 32)}
+    assert holes == {n: [] for n in holes}
+
+
+def test_open_fixed_start_damping_leaves_holes(sites, monkeypatch):
+    # Without the backoff the 0.8 start leaves LB8 n=16's rows 33-34
+    # out of budget under a converged row.
+    monkeypatch.setattr(outer, "_DAMPING_BACKOFF", 1.0)
+    assert _open_holes(sites, lb8(16)) == [33, 34]

@@ -203,3 +203,24 @@ class TestDiagnosisRules:
         diagnosis = self._failed([1.1, 1.2, 1.05], damping=0.3)
         assert "not contracting" in diagnosis
         assert "even at damping 0.3" in diagnosis
+
+    def test_ratio_reading_one_is_a_stall(self):
+        # Oscillation whose ratios average just under 1, as MB4 n=16 at
+        # MPL 36 does after 1,000 iterations.
+        diagnosis = self._failed([0.9999, 1.0001, 0.99985] * 4)
+        assert diagnosis.startswith("stalled")
+        assert "contracting slowly" not in diagnosis
+
+    def test_estimate_far_past_the_budget_is_a_stall(self):
+        # Ratio 0.99 from residual ~0.09: ~1,130 more iterations, over
+        # 10x the 13 run.
+        diagnosis = self._failed([0.99] * 12)
+        assert diagnosis.startswith("stalled (residual ratio 0.99)")
+        assert "over 10x the 13 already run" in diagnosis
+
+    def test_slow_contraction_within_reach_keeps_its_estimate(self):
+        # Ratio 0.5 from residual ~0.01: 14 more iterations, under 10x.
+        diagnosis = self._failed([0.5] * 3)
+        assert diagnosis.startswith("contracting slowly (residual ratio "
+                                    "0.500)")
+        assert "more iterations needed" in diagnosis

@@ -97,6 +97,30 @@ def test_iteration_budget_outcomes_match_oracle(sites):
     assert "ConvergenceError" in outcomes
 
 
+def test_seeded_rows_match_seeded_oracle(sites):
+    """A warm batch, every row started from one converged row's final
+    iterate, matches the oracle started from the same iterate; the
+    seed's own rate is already at its fixed point."""
+    seed = solve_open_batch(_per_user(mb4(8)), sites,
+                            LADDER[8:16]).seed(2)
+    outcomes = _assert_rows_match(mb4(8), sites, LADDER[8:16], seed=seed)
+    assert {"converged", "ConfigurationError"} <= outcomes
+    warm = solve_open_batch(_per_user(mb4(8)), sites, LADDER[10:11],
+                            seed=seed)
+    assert warm.iterations[0] == 1
+
+
+@pytest.mark.parametrize("drop", [None, "ey"])
+def test_malformed_seed_rejected(sites, drop):
+    seed = solve_open_batch(_per_user(mb4(4)), sites, [0.01]).seed(0)
+    if drop is None:
+        seed["pb"] = seed["pb"][:-1]
+    else:
+        del seed[drop]
+    with pytest.raises(ConfigurationError, match="seed"):
+        solve_open_batch(_per_user(mb4(4)), sites, [0.01], seed=seed)
+
+
 def test_single_row_call_is_the_first_batch_row(sites):
     workload = _per_user(mb4(4), 0.05)
     single = solve_open_model(workload, sites)

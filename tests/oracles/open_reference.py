@@ -9,7 +9,12 @@ probabilities, submissions, utilizations, iteration counts and the
 saturated / non-converged outcome).
 
 The lock model divides by the skew-adjusted granule count, as the
-closed engine does.
+closed engine does.  The damping starts at the given value and backs
+off by the closed engine's rule, written here on one scalar: from the
+third iteration on, an iteration whose residual did not shrink
+multiplies it by ``_DAMPING_BACKOFF``, never below ``_DAMPING_FLOOR``.
+A *seed* (``OpenBatch.seed`` of a batch solve) starts every chain from
+that iterate instead of from no contention.
 """
 
 from __future__ import annotations
@@ -22,9 +27,15 @@ from repro.model.open_solver import (OpenChainResult, OpenSolution,
 from repro.model.parameters import SiteParameters
 from repro.model.phases import ConflictProbabilities, transition_matrix, \
     visit_counts
+from repro.model.solver import _DAMPING_BACKOFF, _DAMPING_FLOOR
 from repro.model.types import ChainType
 
 __all__ = ["solve_open_reference"]
+
+#: Batch iterate field -> this loop's per-chain state key.
+_SEED_KEYS = {"pb": "pb", "pd": "pd", "pa": "pa", "ns": "ns",
+              "sigma": "sigma", "ey": "eY", "lh": "lh", "r_lw": "r_lw",
+              "response": "response"}
 
 
 def solve_open_reference(
@@ -32,9 +43,13 @@ def solve_open_reference(
     sites: dict[str, SiteParameters],
     tolerance: float = 1e-6,
     max_iterations: int = 300,
-    damping: float = 0.5,
+    damping: float = 0.8,
+    seed: dict | None = None,
 ) -> OpenSolution:
     """Solve the open model by scalar fixed-point iteration.
+
+    *seed* maps each iterate field of the batch solver to its ``(M,)``
+    values in the batch's state order, which is this loop's.
 
     Raises
     ------
@@ -66,11 +81,16 @@ def solve_open_reference(
             }
     if not state:
         raise ConfigurationError("open workload has no traffic")
+    if seed is not None:
+        for m, s in enumerate(state.values()):
+            for name, key in _SEED_KEYS.items():
+                s[key] = float(seed[name][m])
 
     cpu_util: dict[str, float] = {}
     disk_util: dict[str, float] = {}
     iterations = 0
     residual = float("inf")
+    last_residual = residual
     for iterations in range(1, max_iterations + 1):
         # Demands from the current conflict iterates.
         for (site_name, chain), s in state.items():
@@ -161,6 +181,10 @@ def solve_open_reference(
                 s["sigma"] = s["eY"] / s["locks"]
 
         residual = new_residual
+        if iterations > 2 and residual >= last_residual:
+            damping = max(_DAMPING_BACKOFF * damping,
+                          min(damping, _DAMPING_FLOOR))
+        last_residual = residual
         if residual < tolerance:
             break
     else:
