@@ -25,13 +25,13 @@ block of Eqs. 15-20, ``E[Y]`` of Eq. 11) and the masked row driver
 converges, runs out of budget or fails, and the closed engine's
 damping rule (:func:`~repro.model.outer.back_off_damping`): each row
 starts at the given damping and backs off while its residual does not
-shrink.  A failed row keeps the typed
-error a single solve raises: saturated (a utilization reached 1) or
-infeasible (``P_a`` or ``sigma`` left its range).  Given a response
-target, the driver's stop hook also retires every row above the lowest
-one that has missed it: those rows' answers cannot move the search.
-A *seed* (:meth:`OpenBatch.seed`, one row's final iterate) starts
-every row from that iterate instead of from no contention.
+shrink.  A failed row keeps the typed error a single solve raises:
+saturated (a utilization reached 1) or infeasible (``P_a`` or
+``sigma`` left its range).  Given a response target, the driver's
+stop hook also retires every row above the lowest one that has missed
+it: those rows' answers cannot move the search.  A *seed*
+(:meth:`OpenBatch.seed`, one row's final iterate) starts every row
+from that iterate instead of from no contention.
 :func:`solve_open_model` is the one-row call.
 
 The closed solver remains the faithful reproduction; this one answers

@@ -110,13 +110,13 @@ def test_seeded_rows_match_seeded_oracle(sites):
     assert warm.iterations[0] == 1
 
 
-@pytest.mark.parametrize("drop", [None, "ey"])
-def test_malformed_seed_rejected(sites, drop):
+@pytest.mark.parametrize("defect", ["short", "missing"])
+def test_malformed_seed_rejected(sites, defect):
     seed = solve_open_batch(_per_user(mb4(4)), sites, [0.01]).seed(0)
-    if drop is None:
+    if defect == "short":
         seed["pb"] = seed["pb"][:-1]
     else:
-        del seed[drop]
+        del seed["ey"]
     with pytest.raises(ConfigurationError, match="seed"):
         solve_open_batch(_per_user(mb4(4)), sites, [0.01], seed=seed)
 

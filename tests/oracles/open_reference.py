@@ -32,11 +32,6 @@ from repro.model.types import ChainType
 
 __all__ = ["solve_open_reference"]
 
-#: Batch iterate field -> this loop's per-chain state key.
-_SEED_KEYS = {"pb": "pb", "pd": "pd", "pa": "pa", "ns": "ns",
-              "sigma": "sigma", "ey": "eY", "lh": "lh", "r_lw": "r_lw",
-              "response": "response"}
-
 
 def solve_open_reference(
     workload: OpenWorkload,
@@ -83,8 +78,8 @@ def solve_open_reference(
         raise ConfigurationError("open workload has no traffic")
     if seed is not None:
         for m, s in enumerate(state.values()):
-            for name, key in _SEED_KEYS.items():
-                s[key] = float(seed[name][m])
+            for name, values in seed.items():
+                s["eY" if name == "ey" else name] = float(values[m])
 
     cpu_util: dict[str, float] = {}
     disk_util: dict[str, float] = {}
