@@ -16,7 +16,7 @@ Suppression syntax (checked by the driver, not individual rules):
 - multiple ids separate with commas: ``disable=CL001,CL006``.
 
 Suppressions should carry a justification in the same comment, e.g.
-``# caratlint: disable=CL002 -- lattice levels are sequential``.
+``# caratlint: disable=CL002 -- polynomial steps are sequential``.
 """
 
 from __future__ import annotations

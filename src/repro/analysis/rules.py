@@ -30,6 +30,7 @@ __all__ = ["HOT_PATHS"]
 # ---------------------------------------------------------------------------
 HOT_PATHS: dict[str, frozenset[str]] = {
     "repro.queueing.kernels": frozenset({
+        "_multiply",
         "solve_exact_batch",
         "solve_schweitzer_batch",
         "initial_queue",
@@ -194,7 +195,7 @@ class LoopInKernelHotPath(Rule):
     per-center and per-batch iteration on NumPy axes.  A Python loop
     reintroduces O(B·C·K) interpreter overhead exactly where the
     ROADMAP's scaling items need it least.  Deliberately sequential
-    recurrences (MVA lattice levels, damped fixed-point steps) carry
+    recurrences (polynomial products, damped fixed-point steps) carry
     a justified suppression comment instead."""
 
     rule_id = "CL002"

@@ -241,9 +241,9 @@ def _kernel_networks(batch: int):
 
 def _large_exact_inputs():
     """Arguments of one :func:`~repro.queueing.kernels.solve_exact_batch`
-    call at the largest lattice the capacity planner solves: two site
-    networks (``B = 2``) of six chains at population 6 (7^6 = 117,649
-    lattice points) over a CPU and a disk queue and four delay rows."""
+    call at the largest site networks the capacity planner solves at
+    ``mpl_max`` 24: two networks (``B = 2``) of six chains at population
+    6 (36 customers) over a CPU and a disk queue and four delay rows."""
     import numpy as np
 
     chains = np.arange(6)
@@ -257,9 +257,9 @@ def _large_exact_inputs():
 def run_kernel_bench(batch: int = KERNEL_BATCH, repeats: int = 3) -> BenchRecord:
     """Time the MVA kernels: one exact solve, a Schweitzer loop over
     *batch* networks, the same batch as one stacked call, and one exact
-    batch at the planner's largest lattice (``large_exact``, with the
-    lattice index already cached, as in the fixed point's repeated
-    solves).
+    batch at the planner's largest site networks (``large_exact``, with
+    the kernel's step schedule already cached, as in the fixed point's
+    repeated solves).
 
     Timings take the best of *repeats* repetitions (noise only ever
     slows a run down); the loop and the batch solve the *same*

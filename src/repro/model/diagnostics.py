@@ -27,8 +27,8 @@ Per outer iteration a :class:`IterationRecord` captures
   ``r_tms``),
 * wall time per solver phase (demand rebuild, MVA solves, abort
   update, lock-model update, remote waits, TM serialization),
-* MVA work: solve count, inner Schweitzer iterations, exact-lattice
-  size, and
+* MVA work: solve count, inner Schweitzer iterations, exact-MVA
+  coefficient reads, and
 * damping effectiveness: the ratio of successive residuals (a
   geometric convergence-rate estimate; ~1.0 means the damped update
   is not contracting) and the damping the iteration used (the solver
@@ -108,8 +108,9 @@ class IterationRecord:
     mva_solves: int
     #: Total Schweitzer inner iterations (0 when every site was exact).
     mva_inner_iterations: int
-    #: Total exact-MVA population-lattice points (0 when approximate).
-    mva_lattice_points: int
+    #: Total coefficient reads of the exact kernel (0 when approximate;
+    #: :func:`repro.queueing.kernels.exact_cost` per site network).
+    mva_coefficients: int
     #: ``residual / previous residual``; ``None`` on the first
     #: iteration.  Values near (or above) 1.0 mean the damped update is
     #: not contracting.
@@ -140,7 +141,7 @@ class IterationRecord:
             "wall_ms": self.wall_ms,
             "mva_solves": self.mva_solves,
             "mva_inner_iterations": self.mva_inner_iterations,
-            "mva_lattice_points": self.mva_lattice_points,
+            "mva_coefficients": self.mva_coefficients,
             "contraction": self.contraction,
             "damping": self.damping,
         }

@@ -71,10 +71,10 @@ from repro.model.diagnostics import TRACKED_FIELDS, trace_clock
 from repro.model.phases import check_chain
 from repro.model.results import ModelSolution
 from repro.model.solver import (_DAMPING_BACKOFF, _DAMPING_FLOOR,
-                                _EXACT_LATTICE_BUDGET, _MVA_QUEUE_SITE,
-                                _WARM_FIELDS, QUEUEING_CENTERS, ChainRow,
-                                WarmStart, build_site_network,
-                                build_solution, site_centers)
+                                _MVA_QUEUE_SITE, _WARM_FIELDS,
+                                QUEUEING_CENTERS, ChainRow, WarmStart,
+                                build_site_network, build_solution,
+                                site_centers)
 from repro.model.types import PHASE_ORDER, ChainType, Phase
 from repro.model.workload import WorkloadSpec
 from repro.obs import metrics as obs
@@ -82,6 +82,7 @@ from repro.obs.spans import span
 from repro.queueing.kernels import (
     NetworkArrays,
     assemble_solution,
+    exact_cost,
     initial_queue,
     solve_exact_batch,
     solve_schweitzer_batch,
@@ -498,7 +499,7 @@ class _MvaGroup:
     """One stack of same-layout ``(model, site)`` pairs."""
 
     __slots__ = ("kinds", "delay", "chains", "pairs", "b_idx", "m_idx",
-                 "exact", "pops", "pops_all", "qnames", "lattice")
+                 "exact", "pops", "pops_all", "qnames", "work")
 
     def __init__(self, kinds, delay, chains, exact, pops):
         self.kinds = kinds
@@ -513,7 +514,8 @@ class _MvaGroup:
         self.m_idx: np.ndarray = np.zeros((0, 0), dtype=np.int64)
         self.pops_all: np.ndarray = np.zeros((0, 0), dtype=np.int64)
         self.qnames = tuple(k for k, d in zip(kinds, delay) if not d)
-        self.lattice = 0
+        # Coefficient reads of one exact solve per network.
+        self.work = exact_cost(pops.tolist(), len(self.qnames)) if exact else 0
 
 
 class _BatchEngine(StateTable):
@@ -641,14 +643,7 @@ class _BatchEngine(StateTable):
                     self.tm_flag)
                 delay = tuple(k not in QUEUEING_CENTERS for k in kinds)
                 pops = tuple(int(self.pop_i[b, m]) for m in order)
-                lattice = 1
-                for p in pops:
-                    lattice *= p + 1
-                mode = model.config.mva
-                if mode == "auto":
-                    mode = ("exact" if lattice <= _EXACT_LATTICE_BUDGET
-                            else "approx")
-                exact = mode == "exact"
+                exact = model.config.mva == "exact"
                 key = (kinds, chains, delay, exact,
                        pops if exact else None)
                 group = groups.get(key)
@@ -656,7 +651,6 @@ class _BatchEngine(StateTable):
                     group = groups[key] = _MvaGroup(
                         kinds, np.array(delay, dtype=bool), chains,
                         exact, np.array(pops, dtype=np.int64))
-                    group.lattice = lattice if chains else 1
                 group.pairs.append((b, s))
                 budget_key[(b, s)] = (group, order)
         self.pair_meta = budget_key
@@ -756,7 +750,7 @@ class _BatchEngine(StateTable):
         alive = np.zeros(self.B, dtype=bool)
         alive[al] = True
         self.cur_inner = np.zeros(self.B, dtype=np.int64)
-        self.cur_lattice = np.zeros(self.B, dtype=np.int64)
+        self.cur_work = np.zeros(self.B, dtype=np.int64)
         # caratlint: disable=CL002 -- a handful of layout groups; each
         # body is one whole-stack kernel call, not per-chain work
         for group in self.groups:
@@ -775,7 +769,7 @@ class _BatchEngine(StateTable):
                                    if K else 0.0)
             if group.exact:
                 X, R = solve_exact_batch(stack, group.delay, group.pops)
-                np.add.at(self.cur_lattice, bb, group.lattice)
+                np.add.at(self.cur_work, bb, group.work)
             else:
                 pops = group.pops_all[sel]
                 result = solve_schweitzer_batch(
@@ -1107,7 +1101,7 @@ class _BatchEngine(StateTable):
                           in zip(PHASE_NAMES, times, times[1:])},
                 mva_solves=self.S,
                 mva_inner_iterations=int(self.cur_inner[b]),
-                mva_lattice_points=int(self.cur_lattice[b]),
+                mva_coefficients=int(self.cur_work[b]),
                 contraction=contraction,
                 damping=float(self.damp[b, 0]),
             ))

@@ -48,9 +48,6 @@ __all__ = ["ModelConfig", "CaratModel", "solve_model", "WarmStart",
            "ChainRow", "build_site_network", "build_solution",
            "site_centers"]
 
-#: Exact-MVA lattice budget before switching to Schweitzer.
-_EXACT_LATTICE_BUDGET = 300_000
-
 #: Iterate fields carried by a warm-start snapshot.  Everything that is
 #: a *solution* of the fixed point (conflict estimates, delay-center
 #: times, performance measures) transfers between nearby sweep points;
@@ -95,8 +92,10 @@ class ModelConfig:
         One-way inter-site communication delay (paper: ~0 for the
         two-node Ethernet); finite and non-negative.
     mva:
-        ``"exact"``, ``"approx"`` or ``"auto"`` (exact while the
-        population lattice stays small).
+        ``"exact"`` (the default, exact at every population up to
+        :data:`~repro.queueing.kernels.MAX_EXACT_COST`) or
+        ``"approx"`` (Schweitzer–Bard, kept for the ``abl-mva``
+        ablation).
     damping:
         Starting weight of the freshly computed iterate in the damped
         update.  From the third iteration on, each iteration whose
@@ -126,7 +125,7 @@ class ModelConfig:
     workload: WorkloadSpec
     sites: dict[str, SiteParameters]
     alpha_ms: float = 0.0
-    mva: str = "auto"
+    mva: str = "exact"
     damping: float = 0.8
     tolerance: float = 1e-6
     max_iterations: int = 400
@@ -138,7 +137,7 @@ class ModelConfig:
         missing = [s for s in self.workload.sites if s not in self.sites]
         if missing:
             raise ConfigurationError(f"no parameters for sites {missing}")
-        if self.mva not in ("exact", "approx", "auto"):
+        if self.mva not in ("exact", "approx"):
             raise ConfigurationError(f"unknown mva mode {self.mva!r}")
         if not 0.0 < self.damping <= 1.0:
             raise ConfigurationError("damping must be in (0, 1]")

@@ -34,7 +34,6 @@ from repro.model.results import ModelSolution
 from repro.model.solver import (
     _DAMPING_BACKOFF,
     _DAMPING_FLOOR,
-    _EXACT_LATTICE_BUDGET,
     _MVA_QUEUE_SITE,
     _WARM_FIELDS,
     ChainRow,
@@ -327,10 +326,7 @@ class ReferenceCaratModel:
         solutions: dict[str, NetworkSolution] = {}
         for name in self.workload.sites:
             a = NetworkArrays.from_network(self._site_network(name, rows))
-            mode = self.config.mva
-            if mode == "auto":
-                mode = "exact" if a.lattice_size <= _EXACT_LATTICE_BUDGET else "approx"
-            if mode == "exact":
+            if self.config.mva == "exact":
                 X, R = solve_exact_batch(a.demands[None], a.delay, a.populations)
                 solutions[name] = assemble_solution(a, X[0], R[0])
                 continue

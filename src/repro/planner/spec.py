@@ -105,7 +105,7 @@ class PlanSpec:
     mpl_max: int = 24
     slo: SloSpec = field(default_factory=SloSpec)
     whatif: tuple[WhatIfCandidate, ...] = ()
-    mva: str = "auto"
+    mva: str = "exact"
     tolerance: float = 1e-4
     max_iterations: int = 600
 

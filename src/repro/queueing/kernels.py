@@ -9,18 +9,26 @@ demand matrix plus a delay mask and a population vector
 (:class:`NetworkArrays`), and both MVA algorithms run as whole-matrix
 NumPy operations:
 
-* :func:`solve_exact_batch` runs the exact MVA recursion level by
-  level over the population lattice.  Every lattice point with the
-  same total population is updated in one set of tensor ops, and only
-  the previous level's queues are kept: a ``(B, Cq, M)`` array whose
-  innermost axis runs over the level's points, read through
-  predecessor positions local to that level.  The lattice index is
-  cached across calls, so repeated solves of the same population
-  shape (the fixed-point loop solves the same lattice hundreds of
-  times) pay the setup once.  Each reduction has a fixed summation
-  order (over centers, even and odd centers summed apart, then added;
-  over chains, a sequential sum), pinned bit for bit by
-  ``tests/queueing/test_exact_kernel_golden.py``.
+* :func:`solve_exact_batch` computes exact MVA from the product form's
+  normalizing constant, written as a polynomial in the queueing
+  centers (the multi-chain form of the Buzen convolution; RECAL,
+  Conway and Georganas 1986, solves the same regime).  Each chain's
+  delay rows merge into one ``Z_r``.  For every chain ``r`` with
+  customers, the coefficients of
+  ``prod_s (Z_s + sum_i D_is x_i)^(N_s - [s = r])``, with ``k!``
+  folded in as the factors multiply, weight the queue-length vectors
+  ``k`` of the network one chain-``r`` customer short, so their
+  ``k_i``-weighted mean is ``Q_i(N - e_r)``; one MVA step then gives
+  ``R_ir = D_ir (1 + Q_i(N - e_r))`` and ``X_r = N_r / (Z_r + sum_i
+  R_ir)``.  Every term is positive, so nothing cancels, and the
+  coefficients are rescaled every few steps, so nothing overflows.
+  The cost is polynomial in the total population for a fixed number
+  of queueing centers (:func:`exact_cost`, capped by
+  :data:`MAX_EXACT_COST`), where the classic recursion walks the
+  whole population lattice ``prod_r (N_r + 1)``; that recursion is
+  kept as the test oracle ``tests/oracles/lattice_mva.py``.  The
+  monomial layout and the step schedule are cached per population
+  vector, so the fixed point's repeated solves pay the setup once.
 * :func:`solve_schweitzer_batch` iterates the Schweitzer-Bard fixed
   point as damped whole-tensor updates over a ``(batch, centers,
   chains)`` stack.  A batch element is one network: an MPL-grid point,
@@ -37,11 +45,14 @@ kernel equivalence tests compare against (agreement within 1e-10).
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.analysis.contracts import shape_contract
+from repro.errors import ConfigurationError
 from repro.queueing.network import ClosedNetwork, NetworkSolution
 
 __all__ = [
@@ -51,11 +62,25 @@ __all__ = [
     "solve_schweitzer_batch",
     "initial_queue",
     "assemble_solution",
+    "exact_cost",
+    "MAX_EXACT_COST",
 ]
 
-#: Cached lattice index structures, keyed by the population tuple.
-_LATTICE_CACHE: dict[tuple[int, ...], _LatticeIndex] = {}
-_LATTICE_CACHE_MAX = 64
+#: Largest exact solve accepted, in coefficient reads per network
+#: (:func:`exact_cost`; about 5-20 ns each).  Six chains over two
+#: queueing centers reach it near 560 customers, over three near 135.
+MAX_EXACT_COST = 100_000_000
+
+#: Polynomial steps between rescalings of the coefficients.  With unit
+#: factors a step grows a product's coefficient sum by at most the
+#: factor ``1 + N``, so 16 steps stay far inside the float range.
+_RENORMALIZE_EVERY = 16
+
+#: Cached monomial layouts, keyed by the number of queueing centers.
+_SIMPLEX_CACHE: dict[int, _Simplex] = {}
+#: Cached step schedules, keyed by the population and delay tuples.
+_PLAN_CACHE: dict[tuple[tuple[int, ...], tuple[bool, ...]], _ExactPlan] = {}
+_PLAN_CACHE_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -99,13 +124,6 @@ class NetworkArrays:
         return cls(demands=demands, delay=delay, populations=populations,
                    centers=centers, chains=chains)
 
-    @property
-    def lattice_size(self) -> int:
-        """Population vectors the exact recursion must visit."""
-        if not self.chains:
-            return 1
-        return int(np.prod(self.populations + 1))
-
 
 @dataclass(frozen=True)
 class BatchSolution:
@@ -124,71 +142,207 @@ class BatchSolution:
     residual: np.ndarray     #: ``(B,)`` last damped-step max-norm.
 
 
-class _LatticeIndex:
-    """Precomputed traversal order of one population lattice.
+class _Simplex:
+    """The monomials ``x^k`` of ``Cq`` variables with total degree at
+    most ``degree``, in graded order.
 
-    The exact recursion visits the lattice level by level (level ``s``
-    holds the points of total population ``s``) and keeps only the
-    previous level's queues, so each point's one-customer-removed
-    predecessors are stored as positions inside level ``s - 1``.
-    ``levels[s - 1]`` is a ``(pts, pred)`` pair of ``(K, M_s)``
-    arrays, point-major (the level's ``M_s`` points, in flat lattice
-    order, run along the innermost axis):
+    Monomials are sorted by total degree, so the monomials of degree at
+    most ``d`` are a prefix of the array for every ``d <= degree``, and
+    a simplex built for a larger degree serves every smaller one.
 
-    * ``pts``: the population vectors, in the narrowest unsigned
-      integer type that holds them (converting to float in the
-      division is exact, and the index stays small);
-    * ``pred``: for each chain with a customer to remove, the position
-      of the predecessor in level ``s - 1``; 0 for an empty chain.
-
-    Level 0, the empty network, is implicit.  The index depends only
-    on the population tuple, so it is computed once and cached.
+    * ``pred``: ``(1 + Cq, L)`` positions — row 0 is the monomial
+      itself, row ``1 + i`` the monomial ``k - e_i`` (0, the constant
+      monomial, where ``k_i = 0``);
+    * ``weight``: ``(1 + Cq, L)`` multipliers — 1 in row 0, ``k_i`` in
+      row ``1 + i``;
+    * ``sizes``: ``(degree + 1,)`` count of monomials of degree at most
+      ``d``.
     """
 
-    __slots__ = ("levels",)
+    __slots__ = ("degree", "pred", "weight", "sizes")
 
-    def __init__(self, populations: np.ndarray):
-        """Index the lattice of a ``(K,)`` ``populations`` vector."""
-        dims = populations + 1
-        K = len(dims)
-        strides = np.ones((K, 1), dtype=np.intp)
-        for i in range(K - 2, -1, -1):
-            strides[i] = strides[i + 1] * dims[i + 1]
-        small = np.min_scalar_type(int(populations.max()))
-        points = np.indices(dims, dtype=small).reshape(K, -1)  # (K, L)
-        total = points.sum(axis=0, dtype=np.intp)
-        # One stable sort groups the points by level and keeps flat
-        # order within a level (on the narrowest integer type that holds
-        # the totals, NumPy's stable sort is a radix sort).
-        narrow = total.astype(np.min_scalar_type(total[-1]))
-        order = np.argsort(narrow, kind="stable")
-        sizes = np.bincount(total)
-        ends = np.cumsum(sizes)
-        position = np.empty(len(order), dtype=np.intp)
-        position[order] = np.arange(len(order)) - np.repeat(ends - sizes,
-                                                            sizes)
-        self.levels: list[tuple[np.ndarray, np.ndarray]] = []
-        for flat in np.split(order, ends[:-1])[1:]:
-            pts = points.take(flat, axis=1)
-            # Removing a customer from an empty chain yields a wrong
-            # flat index (still a valid one, negative ones wrap); it is
-            # zeroed.
-            pred = position.take(flat - strides)
-            pred[pts == 0] = 0
-            self.levels.append((pts, pred))
+    def __init__(self, n_queues: int, degree: int):
+        """Build the simplex one variable at a time.
+
+        The monomials of ``m + 1`` variables are the pairs ``(k, j)``
+        of a degree-``<= degree - j`` monomial ``k`` of ``m`` variables
+        (a prefix of the graded ``m``-variable array) and a power ``j``
+        of the new variable, stably re-sorted by total degree.
+        """
+        pts = np.zeros((1, 0), dtype=np.intp)
+        pred = np.zeros((0, 1), dtype=np.intp)
+        for _ in range(n_queues):
+            count = np.searchsorted(
+                pts.sum(axis=1), np.arange(degree, -1, -1), side="right"
+            )
+            start = np.concatenate(([0], np.cumsum(count)[:-1]))
+            power = np.repeat(np.arange(degree + 1), count)
+            first = np.repeat(start, count)
+            row = np.arange(len(power)) - first
+            # Positions before the re-sort: (k, j) sits at start[j] + k.
+            lower = np.where(power > 0, start[np.maximum(power - 1, 0)] + row, 0)
+            order = np.argsort(pts[row].sum(axis=1) + power, kind="stable")
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            pred = rank[np.vstack([pred[:, row] + first, lower])[:, order]]
+            pts = np.column_stack([pts[row], power])[order]
+        self.degree = degree
+        self.pred = np.vstack([np.arange(len(pts)), pred])
+        self.weight = np.vstack([np.ones(len(pts)), pts.T]).astype(np.float64)
+        self.sizes = np.searchsorted(
+            pts.sum(axis=1), np.arange(degree + 1), side="right"
+        )
 
 
-def _lattice_index(populations: np.ndarray) -> _LatticeIndex:
-    """Cached :class:`_LatticeIndex` for a ``(K,)`` ``populations``
-    vector (least recently used entry evicted beyond the cache cap)."""
-    key = tuple(int(p) for p in populations)
-    index = _LATTICE_CACHE.pop(key, None)
-    if index is None:
-        if len(_LATTICE_CACHE) >= _LATTICE_CACHE_MAX:
-            _LATTICE_CACHE.pop(next(iter(_LATTICE_CACHE)))
-        index = _LatticeIndex(populations)
-    _LATTICE_CACHE[key] = index
-    return index
+def _simplex(n_queues: int, degree: int) -> _Simplex:
+    """The cached :class:`_Simplex` of ``n_queues`` variables, rebuilt
+    when a solve needs a larger degree than any before."""
+    simplex = _SIMPLEX_CACHE.get(n_queues)
+    if simplex is None or simplex.degree < degree:
+        simplex = _SIMPLEX_CACHE[n_queues] = _Simplex(n_queues, degree)
+    return simplex
+
+
+def exact_cost(populations: Sequence[int], n_queues: int) -> int:
+    """Coefficient reads of one exact solve, per network.
+
+    A step that brings ``V`` stacked products to degree ``d`` reads
+    ``1 + n_queues`` coefficients for each of the ``V`` times
+    ``C(d + n_queues, n_queues)`` monomials of degree at most ``d``
+    (:class:`_ExactPlan` lists the steps); summed in closed form.  It
+    bounds the solve's time and its widest array, and solves above
+    :data:`MAX_EXACT_COST` raise
+    :class:`~repro.errors.ConfigurationError`.
+    """
+    active = [p for p in populations if p > 0]
+    if not (active and n_queues):
+        return 0
+    q, a, n = n_queues + 1, len(active), sum(active)
+    # Summed over degrees d = lo..hi, C(d + q - 1, q - 1) gives
+    # C(hi + q, q) - C(lo + q - 1, q).
+    shared = math.comb(n - a + q, q) - 1  # degrees 1 .. n - a
+    own = a * (math.comb(n - 1 + q, q) - math.comb(n - a + q, q))
+    return q * (shared + own)
+
+
+class _ExactPlan:
+    """Step schedule of one exact solve, cached per population vector
+    and delay mask.
+
+    With ``a`` chains holding customers and ``N`` customers in all, the
+    kernel multiplies ``N - a`` linear factors into one shared product
+    (``base``: chain ``s``'s factor ``N_s - 1`` times, one stacked
+    product) and then, for every active chain ``r`` at once, the
+    factors of the other ``a - 1`` chains (``rest``: ``a`` stacked
+    products).  Each step is ``(pred, weight, size, renormalize)``:
+    the simplex arrays cut to the ``size`` monomials of the product's
+    new degree, and whether to rescale afterwards.
+
+    * ``queues`` / ``delays``: row indices of the queueing and delay
+      centers;
+    * ``active``: ``(a,)`` chains with customers;
+    * ``base_chains``: ``(N - a,)`` chain of each base step;
+    * ``rest_chains``: ``(a - 1, a)`` chain each product multiplies in
+      at each rest step;
+    * ``moments``: ``(L, 1 + Cq)`` weights of the final sums — 1 and
+      ``k_i`` over the ``L`` monomials of degree below ``N``.
+    """
+
+    __slots__ = (
+        "queues",
+        "delays",
+        "active",
+        "base_chains",
+        "rest_chains",
+        "base",
+        "rest",
+        "moments",
+    )
+
+    def __init__(self, populations: tuple[int, ...], delay: tuple[bool, ...]):
+        mask = np.array(delay, dtype=bool).reshape(len(delay))
+        self.queues = np.flatnonzero(~mask)
+        self.delays = np.flatnonzero(mask)
+        n_queues = len(self.queues)
+        cost = exact_cost(populations, n_queues)
+        if cost > MAX_EXACT_COST:
+            raise ConfigurationError(
+                f"exact MVA at populations {populations} over {n_queues} "
+                f"queueing centers needs {cost} coefficient reads "
+                f"(> {MAX_EXACT_COST}); use approximate MVA instead"
+            )
+        active = [r for r, p in enumerate(populations) if p > 0]
+        base = [s for s in active for _ in range(populations[s] - 1)]
+        rest = [[s for s in active if s != r] for r in active]
+        self.active = np.array(active, dtype=np.intp)
+        self.base_chains = np.array(base, dtype=np.intp)
+        self.rest_chains = np.array(rest, dtype=np.intp).reshape(
+            len(active), max(0, len(active) - 1)
+        ).T.copy()
+        simplex = _simplex(n_queues, max(0, sum(populations) - 1))
+
+        def step(t: int) -> tuple[np.ndarray, np.ndarray, int, bool]:
+            size = int(simplex.sizes[t + 1])
+            return (
+                simplex.pred[:, :size],
+                simplex.weight[:, :size],
+                size,
+                t % _RENORMALIZE_EVERY == _RENORMALIZE_EVERY - 1,
+            )
+
+        self.base = [step(t) for t in range(len(base))]
+        self.rest = [step(len(base) + t) for t in range(len(active) - 1)]
+        size = int(simplex.sizes[max(0, sum(populations) - 1)])
+        self.moments = np.ascontiguousarray(simplex.weight[:, :size].T)
+
+
+def _exact_plan(populations: np.ndarray, delay: np.ndarray) -> _ExactPlan:
+    """Cached :class:`_ExactPlan` for a ``(K,)`` ``populations`` vector
+    and a ``(C,)`` ``delay`` mask (least recently used entry evicted
+    beyond the cache cap)."""
+    key = (tuple(populations.tolist()), tuple(delay.tolist()))
+    plan = _PLAN_CACHE.pop(key, None)
+    if plan is None:
+        if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
+            _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
+        plan = _ExactPlan(*key)
+    _PLAN_CACHE[key] = plan
+    return plan
+
+
+def _multiply(
+    steps: list[tuple[np.ndarray, np.ndarray, int, bool]],
+    factors: np.ndarray,
+    coef: np.ndarray,
+) -> np.ndarray:
+    """Multiply stacked products by one linear factor per step.
+
+    ``coef`` is the ``(B, V, L)`` stack of ``V`` products per network,
+    zero past each product's degree.  ``factors`` is ``(P, B, V, 1, T)``:
+    for each of the ``P`` steps, every product's factor row ``(Z, D_1,
+    ..., D_Cq)`` of ``T = 1 + Cq`` terms.  ``steps`` holds the
+    :class:`_ExactPlan` steps, whose ``pred`` and ``weight`` are
+    ``(T, S)`` over the ``S`` monomials up to the step's degree.  With
+    ``k!`` folded into the coefficients, multiplying by ``Z + sum_i
+    D_i x_i`` is ``c[k] <- Z c[k] + sum_i D_i k_i c[k - e_i]``: one
+    gather of the ``T`` terms, one weight and one contraction with the
+    factor.
+    """
+    if not steps:
+        return coef
+    spare = np.zeros_like(coef)
+    # Step t needs step t-1's product; the products of one step are
+    # stacked on the batch and variant axes.
+    # caratlint: disable=CL002 -- sequential polynomial products
+    for factor, (pred, weight, size, renormalize) in zip(factors, steps):
+        terms = coef.take(pred, axis=2)  # (B, V, 1 + Cq, size)
+        terms *= weight
+        out = spare[:, :, None, :size]
+        np.matmul(factor, terms, out=out)
+        if renormalize:
+            out /= out.sum(axis=3, keepdims=True)
+        coef, spare = spare, coef
+    return coef
 
 
 @shape_contract(demands="(B, C, K) | (C, K)", delay="(C,)",
@@ -208,15 +362,20 @@ def solve_exact_batch(
     delay:
         ``(C,)`` delay-center mask, shared across the batch.
     populations:
-        ``(K,)`` population vector, shared across the batch (the
-        recursion's lattice is population-shaped, so a batch must
-        agree on it; stacks with differing populations go through
+        ``(K,)`` population vector, shared across the batch (the step
+        schedule is population-shaped, so a batch must agree on it;
+        stacks with differing populations go through
         :func:`solve_schweitzer_batch` instead).
 
     Returns
     -------
     (throughput, residence):
         ``(B, K)`` and ``(B, C, K)`` arrays at the full population.
+
+    Raises
+    ------
+    ConfigurationError
+        If :func:`exact_cost` exceeds :data:`MAX_EXACT_COST`.
     """
     squeeze = demands.ndim == 2
     if squeeze:
@@ -227,62 +386,44 @@ def solve_exact_batch(
         R = np.zeros((B, C, K))
         return (X[0], R[0]) if squeeze else (X, R)
 
-    qmask = ~delay
-    Dq = np.ascontiguousarray(demands[:, qmask, :])  # (B, Cq, K)
-    D4 = Dq[:, :, :, None]
-    delay_r = demands[:, delay, :].sum(axis=1)       # (B, K)
-    delay_r3 = delay_r[:, :, None]
-    Cq = Dq.shape[1]
-
-    *interior, (pts, pred) = _lattice_index(populations).levels
-    # Only the previous level's queues are kept: (B, Cq, M_{s-1}),
-    # point axis innermost, starting from the empty network.
-    Q = np.zeros((B, Cq, 1))
+    plan = _exact_plan(populations, delay)
+    Dq = demands.take(plan.queues, axis=1)  # (B, Cq, K)
+    Z = demands.take(plan.delays, axis=1).sum(axis=1)  # (B, K)
+    one_plus = np.ones_like(Dq)
+    if Dq.shape[1]:
+        # Each chain's factor (Z, D_1, ..., D_Cq) is scaled to sum 1:
+        # a factor's scale multiplies every coefficient alike, and with
+        # unit factors no product's coefficient sum ever shrinks.  A
+        # chain with no demand anywhere has zero throughput; its factor
+        # becomes the constant 1.
+        F = np.concatenate((Z[:, None, :], Dq), axis=1)  # (B, 1+Cq, K)
+        total = F.sum(axis=1)
+        idle = ~(total > 0.0)
+        F /= np.where(idle, 1.0, total)[:, None, :]
+        F[:, 0, :] += idle
+        F = F.transpose(0, 2, 1)[:, :, None, None, :]  # (B, K, 1, 1, 1+Cq)
+        coef = np.zeros((B, 1, len(plan.moments)))
+        coef[:, :, 0] = 1.0
+        coef = _multiply(plan.base, F[:, plan.base_chains].swapaxes(0, 1), coef)
+        coef = _multiply(
+            plan.rest,
+            F[:, plan.rest_chains, 0].swapaxes(0, 1),
+            np.repeat(coef, len(plan.active), axis=1),
+        )
+        # Q_i(N - e_r) is the k_i-weighted mean over r's product.
+        sums = coef @ plan.moments  # (B, a, 1 + Cq)
+        one_plus[:, :, plan.active] += (sums[..., 1:] / sums[..., :1]).transpose(
+            0, 2, 1
+        )
+    R = np.where(Dq > 0.0, Dq * one_plus, 0.0)
+    tot = Z + R.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # The exact MVA recursion is inherently sequential across
-        # lattice *levels* (level s needs level s-1); all points
-        # within a level update as one tensor op.  Every reduction has
-        # a fixed summation order, pinned bit for bit by the kernel
-        # golden test: over centers, the even and the odd centers are
-        # summed apart, then added (a plain sum at the last point);
-        # over chains, a sequential sum of (X * D) * (1 + Q).
-        # caratlint: disable=CL002 -- sequential lattice recursion
-        for pts_s, pred_s in interior:
-            one_plus = Q.take(pred_s, axis=2)       # (B, Cq, K, M)
-            one_plus += 1.0
-            R = D4 * one_plus
-            tot = R[:, 0::2].sum(axis=1)            # (B, K, M)
-            tot += R[:, 1::2].sum(axis=1)
-            tot += delay_r3
-            # An empty chain has pts 0, so its throughput is 0 as well.
-            X = pts_s / tot
-            X[~(tot > 0.0)] = 0.0
-            np.multiply(X[:, None], D4, out=R)
-            R *= one_plus
-            Q = R.sum(axis=2)                       # (B, Cq, M)
-
-        # The last level is the one full-population point: its
-        # residence matrix is the result, its queues are not needed.
-        # An empty (zero-population) chain sees the empty network.  The
-        # operands are C-ordered, so the center sum runs over the
-        # contiguous last axis.
-        pts = pts[:, 0]
-        DqT = np.ascontiguousarray(Dq.transpose(0, 2, 1))  # (B, K, Cq)
-        one_plus = np.ascontiguousarray(np.where(
-            pts[:, None] > 0, Q.take(pred[:, 0], axis=2).transpose(0, 2, 1),
-            0.0))
-        one_plus += 1.0
-        R = DqT * one_plus
-        tot = R.sum(axis=2) + delay_r
-        X_final = np.where(tot > 0.0, pts / tot, 0.0)
-        R_final = np.where(DqT > 0.0, R, 0.0)
-
-    residence = np.zeros((B, C, K))
-    residence[:, qmask, :] = R_final.transpose(0, 2, 1)
-    residence[:, delay, :] = demands[:, delay, :]
+        X = np.where(tot > 0.0, populations / tot, 0.0)
+    residence = demands.copy()
+    residence[:, plan.queues, :] = R
     if squeeze:
-        return X_final[0], residence[0]
-    return X_final, residence
+        return X[0], residence[0]
+    return X, residence
 
 
 @shape_contract(demands="(B, C, K) | (C, K)", delay="(C,)",

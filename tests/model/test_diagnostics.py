@@ -21,7 +21,7 @@ def _record(index=1, residual=0.1, **overrides):
         phase_ms={name: 0.1 for name in PHASE_NAMES},
         mva_solves=2,
         mva_inner_iterations=5,
-        mva_lattice_points=0,
+        mva_coefficients=0,
     )
     kwargs.update(overrides)
     return IterationRecord(**kwargs)
@@ -130,8 +130,8 @@ class TestTracedSolve:
         assert summary["stalled_chain"] is None
         # Small populations solve with exact MVA (no Schweitzer inner
         # iterations), but some MVA work must always be recorded.
-        lattice = sum(r.mva_lattice_points for r in trace)
-        assert summary["mva_inner_iterations_total"] + lattice > 0
+        coefficients = sum(r.mva_coefficients for r in trace)
+        assert summary["mva_inner_iterations_total"] + coefficients > 0
         assert "converged in" in summary["diagnosis"]
         assert set(summary["phase_ms_total"]) == set(PHASE_NAMES)
 

@@ -15,6 +15,7 @@ from repro.model.parameters import paper_sites
 from repro.model.solver import (CaratModel, ModelConfig,
                                 _MVA_QUEUE_SITE)
 from repro.model.workload import STANDARD_WORKLOADS
+from repro.queueing.kernels import NetworkArrays, exact_cost
 
 
 def _config(name="MB4", **kwargs):
@@ -92,14 +93,20 @@ class TestWarmStartedInnerIterations:
         for record in trace.records:
             assert record.mva_solves == sites
             assert record.mva_inner_iterations > 0
-            assert record.mva_lattice_points == 0
+            assert record.mva_coefficients == 0
 
-    def test_traced_stats_count_exact_lattice(self):
+    def test_traced_stats_count_exact_coefficients(self):
         trace = ConvergenceTrace()
         model = CaratModel(_config(mva="exact"), diagnostics=trace)
         model.solve()
+        per_solve = 0
+        for name in model.workload.sites:
+            arrays = NetworkArrays.from_network(model.site_network(name))
+            per_solve += exact_cost(arrays.populations.tolist(),
+                                    int((~arrays.delay).sum()))
+        assert per_solve > 0
         for record in trace.records:
-            assert record.mva_lattice_points > 0
+            assert record.mva_coefficients == per_solve
             assert record.mva_inner_iterations == 0
 
 

@@ -159,7 +159,7 @@ class TestPaperWorkloads:
 
 class TestRandomConfigurations:
     @given(workload=random_workloads(),
-           mva=st.sampled_from(["exact", "approx", "auto"]))
+           mva=st.sampled_from(["exact", "approx"]))
     @settings(max_examples=20, deadline=None)
     def test_random_workloads_equivalent(self, workload, mva):
         config = ModelConfig(workload=workload, sites=paper_sites(),

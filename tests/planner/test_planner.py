@@ -35,6 +35,15 @@ def mb4_search(sites):
 
 
 @pytest.fixture(scope="module")
+def mb4_n8_search(sites):
+    """MB4 n=8: brute-force curve to mpl_max=28, where exact MVA reads
+    the curve 6% below its peak (MPL 28 is an 8^6-point lattice)."""
+    evaluator = PlanEvaluator(mb4(8), sites, model_kwargs=KW)
+    return {"brute": brute_force_optimum(evaluator, 28),
+            "brute_ev": evaluator}
+
+
+@pytest.fixture(scope="module")
 def mb8_search(sites):
     """MB8 n=8: ternary search only, mpl_max=16."""
     workload = mb8(8)
@@ -65,11 +74,13 @@ class TestOptimumSearch:
         peak = max(ev.point(m).throughput_per_s for m in brute.grid)
         assert brute.point.throughput_per_s == pytest.approx(peak)
 
-    def test_knee_drops_below_peak(self, mb4_search):
-        brute = mb4_search["brute"]
+    @pytest.mark.parametrize("fixture", ["mb4_search", "mb4_n8_search"])
+    def test_knee_drops_below_peak(self, fixture, request):
+        search = request.getfixturevalue(fixture)
+        brute = search["brute"]
         if brute.knee_mpl is None:
             pytest.skip("curve never dropped 5% within the grid")
-        ev = mb4_search["brute_ev"]
+        ev = search["brute_ev"]
         assert brute.knee_mpl > brute.point.mpl
         assert ev.point(brute.knee_mpl).throughput_per_s \
             < 0.95 * brute.point.throughput_per_s

@@ -1,6 +1,6 @@
-"""Exact output of the exact-MVA kernel.
+"""Exact output of the lattice exact-MVA oracle.
 
-Fixed, seeded cases of :func:`repro.queueing.kernels.solve_exact_batch`,
+Fixed, seeded cases of :func:`tests.oracles.lattice_mva.lattice_exact_batch`,
 each pinned bit for bit with ``float.hex``: the throughput and the
 residence matrix of every batch element.  The cases cover 0 to 4
 queueing centers, 1 to 6 chains, batches of 1, 2, 6 and 78 networks
@@ -10,11 +10,14 @@ the capacity planner solves most: six chains at population 6 and at
 (4, 4, 4, 4, 8, 8) over two queueing centers, and the separate
 log-disk site's three.
 
-A rewrite of the kernel must leave every value unchanged; the
-summation order of each reduction is part of the contract.  A
-deliberate change to the numerics must re-record the goldens
-(``python tests/queueing/test_exact_kernel_golden.py``) and say why.
-This is the kernel-level twin of ``tests/model/test_engine_golden.py``.
+The lattice recursion is the oracle the production kernel
+(:func:`repro.queueing.kernels.solve_exact_batch`) is checked against
+in ``test_exact_kernel_agreement.py``, on these same cases; this file
+keeps the oracle itself fixed.  The summation order of each reduction
+is part of the contract.  A deliberate change to its numerics must
+re-record the goldens
+(``PYTHONPATH=src:. python tests/queueing/test_exact_kernel_golden.py``)
+and say why.
 """
 
 import json
@@ -24,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.queueing.kernels import solve_exact_batch
+from tests.oracles.lattice_mva import lattice_exact_batch
 
 GOLDEN_PATH = Path(__file__).with_name("exact_kernel_golden.json")
 
@@ -79,7 +82,7 @@ def case_inputs(name):
 
 def fingerprint(name):
     """``float.hex`` of every throughput and residence of one case."""
-    throughput, residence = solve_exact_batch(*case_inputs(name))
+    throughput, residence = lattice_exact_batch(*case_inputs(name))
     return {
         "throughput": np.vectorize(float.hex, otypes=[object])(
             throughput).tolist(),

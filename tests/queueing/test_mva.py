@@ -9,6 +9,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.queueing.centers import CenterKind, ServiceCenter
 from repro.queueing.convolution import solve_convolution
+from repro.queueing.kernels import MAX_EXACT_COST
 from repro.queueing.ctmc import solve_ctmc
 from repro.queueing.mva_approx import solve_mva_approx
 from repro.queueing.mva_exact import mva_cost, solve_mva_exact
@@ -134,14 +135,31 @@ class TestExactMvaMultiChain:
         shared = solve_mva_exact(self._net(2, 4)).throughput["a"]
         assert shared < alone
 
-    def test_lattice_budget_enforced(self):
+    def test_ten_chains_at_nine_solve(self):
+        """A 10^10-point lattice, but a small polynomial: one
+        saturated queue serves the ten symmetric chains alike."""
         net = ClosedNetwork(
             centers=(ServiceCenter("cpu", CenterKind.QUEUEING,
                                    {str(i): 1.0 for i in range(10)}),),
             populations={str(i): 9 for i in range(10)},
         )
-        assert mva_cost(net) == 10 ** 10
-        with pytest.raises(ConfigurationError):
+        assert mva_cost(net) == 22_120
+        sol = solve_mva_exact(net)
+        for chain in net.chains:
+            assert sol.throughput[chain] == pytest.approx(0.1, rel=1e-12)
+            assert sol.residence_time[("cpu", chain)] == pytest.approx(
+                90.0, rel=1e-12)
+
+    def test_cost_cap_enforced(self):
+        net = ClosedNetwork(
+            centers=tuple(
+                ServiceCenter(name, CenterKind.QUEUEING,
+                              {str(i): 1.0 for i in range(6)})
+                for name in ("cpu", "disk", "log")),
+            populations={str(i): 60 for i in range(6)},
+        )
+        assert mva_cost(net) > MAX_EXACT_COST
+        with pytest.raises(ConfigurationError, match="coefficient reads"):
             solve_mva_exact(net)
 
 
