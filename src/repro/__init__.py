@@ -15,7 +15,7 @@ Public API highlights
     same workloads mechanistically (2PL + deadlock detection, WAL,
     centralized 2PC) and reports the same measures.
 ``repro.queueing``
-    Generic closed queueing-network machinery (MVA, convolution, CTMC,
+    Generic closed queueing-network machinery (MVA, operational bounds,
     Yao's formula, an Ethernet delay model).
 ``repro.experiments``
     Harness that regenerates every table and figure of the paper.

@@ -2,9 +2,10 @@
 
 This subpackage is the generic queueing machinery the paper's model is
 built on: closed multi-chain networks (:mod:`repro.queueing.network`),
-exact and approximate MVA solvers, a convolution solver and a CTMC
-oracle for validation, Yao's block-access formula and an Ethernet delay
-model.
+exact and approximate MVA solvers, operational bounds, Yao's
+block-access formula and an Ethernet delay model.  The independent
+oracles the exact solver is validated against (Buzen's convolution, a
+brute-force CTMC, the lattice recursion) live in ``tests/oracles``.
 """
 
 from repro.queueing.bounds import (ChainBounds, aggregate_mix_network,
@@ -14,8 +15,6 @@ from repro.queueing.bounds import (ChainBounds, aggregate_mix_network,
                                    saturation_population,
                                    saturation_window)
 from repro.queueing.centers import CenterKind, ServiceCenter
-from repro.queueing.convolution import solve_convolution
-from repro.queueing.ctmc import solve_ctmc
 from repro.queueing.ethernet import EthernetModel
 from repro.queueing.kernels import (BatchSolution, NetworkArrays,
                                     solve_exact_batch,
@@ -38,8 +37,6 @@ __all__ = [
     "BatchSolution",
     "solve_exact_batch",
     "solve_schweitzer_batch",
-    "solve_convolution",
-    "solve_ctmc",
     "mva_cost",
     "yao_blocks",
     "expected_granules",

@@ -45,9 +45,11 @@ kernel equivalence tests compare against (agreement within 1e-10).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,20 +69,20 @@ __all__ = [
 ]
 
 #: Largest exact solve accepted, in coefficient reads per network
-#: (:func:`exact_cost`; about 5-20 ns each).  Six chains over two
-#: queueing centers reach it near 560 customers, over three near 135.
+#: (:func:`exact_cost`, 5-20 ns each): six chains reach it near 560
+#: customers over two queueing centers, near 135 over three.
 MAX_EXACT_COST = 100_000_000
 
-#: Polynomial steps between rescalings of the coefficients.  With unit
-#: factors a step grows a product's coefficient sum by at most the
-#: factor ``1 + N``, so 16 steps stay far inside the float range.
-_RENORMALIZE_EVERY = 16
+#: Steps between rescalings.  A step by a unit factor grows a product's
+#: coefficient sum by at most ``1 + N`` and never shrinks it.
+_RESCALE_EVERY = 16
 
-#: Cached monomial layouts, keyed by the number of queueing centers.
-_SIMPLEX_CACHE: dict[int, _Simplex] = {}
-#: Cached step schedules, keyed by the population and delay tuples.
-_PLAN_CACHE: dict[tuple[tuple[int, ...], tuple[bool, ...]], _ExactPlan] = {}
-_PLAN_CACHE_MAX = 64
+#: ``_simplex`` arrays, keyed by the number of queueing centers.
+_SIMPLEX_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+#: One polynomial step: the monomials up to its degree, and whether to
+#: rescale after it.
+_Step = tuple[int, bool]
 
 
 @dataclass(frozen=True)
@@ -142,75 +144,54 @@ class BatchSolution:
     residual: np.ndarray     #: ``(B,)`` last damped-step max-norm.
 
 
-class _Simplex:
-    """The monomials ``x^k`` of ``Cq`` variables with total degree at
-    most ``degree``, in graded order.
+def _simplex(
+    n_queues: int, degree: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The monomials ``x^k`` of ``n_queues`` variables and degree at
+    most ``degree``, sorted by degree so that each smaller degree's
+    monomials are a prefix (cached; rebuilt for a larger degree).
 
-    Monomials are sorted by total degree, so the monomials of degree at
-    most ``d`` are a prefix of the array for every ``d <= degree``, and
-    a simplex built for a larger degree serves every smaller one.
-
-    * ``pred``: ``(1 + Cq, L)`` positions — row 0 is the monomial
-      itself, row ``1 + i`` the monomial ``k - e_i`` (0, the constant
-      monomial, where ``k_i = 0``);
-    * ``weight``: ``(1 + Cq, L)`` multipliers — 1 in row 0, ``k_i`` in
-      row ``1 + i``;
-    * ``sizes``: ``(degree + 1,)`` count of monomials of degree at most
-      ``d``.
+    Returns ``pred`` and ``weight``, ``(T, L)`` with ``T = 1 +
+    n_queues``: row 0 is the monomial itself (weight 1), row ``1 + i``
+    the position of ``k - e_i`` (weight ``k_i``; position 0 where
+    ``k_i = 0``); and ``sizes``, the count of monomials of degree at
+    most ``d`` for each ``d``.
     """
-
-    __slots__ = ("degree", "pred", "weight", "sizes")
-
-    def __init__(self, n_queues: int, degree: int):
-        """Build the simplex one variable at a time.
-
-        The monomials of ``m + 1`` variables are the pairs ``(k, j)``
-        of a degree-``<= degree - j`` monomial ``k`` of ``m`` variables
-        (a prefix of the graded ``m``-variable array) and a power ``j``
-        of the new variable, stably re-sorted by total degree.
-        """
-        pts = np.zeros((1, 0), dtype=np.intp)
-        pred = np.zeros((0, 1), dtype=np.intp)
-        for _ in range(n_queues):
-            count = np.searchsorted(
-                pts.sum(axis=1), np.arange(degree, -1, -1), side="right"
-            )
-            start = np.concatenate(([0], np.cumsum(count)[:-1]))
-            power = np.repeat(np.arange(degree + 1), count)
-            first = np.repeat(start, count)
-            row = np.arange(len(power)) - first
-            # Positions before the re-sort: (k, j) sits at start[j] + k.
-            lower = np.where(power > 0, start[np.maximum(power - 1, 0)] + row, 0)
-            order = np.argsort(pts[row].sum(axis=1) + power, kind="stable")
-            rank = np.empty_like(order)
-            rank[order] = np.arange(len(order))
-            pred = rank[np.vstack([pred[:, row] + first, lower])[:, order]]
-            pts = np.column_stack([pts[row], power])[order]
-        self.degree = degree
-        self.pred = np.vstack([np.arange(len(pts)), pred])
-        self.weight = np.vstack([np.ones(len(pts)), pts.T]).astype(np.float64)
-        self.sizes = np.searchsorted(
-            pts.sum(axis=1), np.arange(degree + 1), side="right"
+    cached = _SIMPLEX_CACHE.get(n_queues)
+    if cached is not None and len(cached[2]) > degree:
+        return cached
+    pts = np.zeros((1, 0), dtype=np.intp)
+    pred = np.zeros((0, 1), dtype=np.intp)
+    # One variable at a time: pair each monomial k of degree at most
+    # degree - j (a prefix) with the power j, then re-sort stably.
+    for _ in range(n_queues):
+        count = np.searchsorted(
+            pts.sum(axis=1), np.arange(degree, -1, -1), side="right"
         )
-
-
-def _simplex(n_queues: int, degree: int) -> _Simplex:
-    """The cached :class:`_Simplex` of ``n_queues`` variables, rebuilt
-    when a solve needs a larger degree than any before."""
-    simplex = _SIMPLEX_CACHE.get(n_queues)
-    if simplex is None or simplex.degree < degree:
-        simplex = _SIMPLEX_CACHE[n_queues] = _Simplex(n_queues, degree)
-    return simplex
+        start = np.concatenate(([0], np.cumsum(count)[:-1]))
+        power = np.repeat(np.arange(degree + 1), count)
+        first = np.repeat(start, count)
+        row = np.arange(len(power)) - first
+        # Before the re-sort, (k, j) sits at start[j] + k.
+        lower = np.where(power > 0, start[np.maximum(power - 1, 0)] + row, 0)
+        order = np.argsort(pts[row].sum(axis=1) + power, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        pred = rank[np.vstack([pred[:, row] + first, lower])[:, order]]
+        pts = np.column_stack([pts[row], power])[order]
+    cached = _SIMPLEX_CACHE[n_queues] = (
+        np.vstack([np.arange(len(pts)), pred]),
+        np.vstack([np.ones(len(pts)), pts.T]).astype(np.float64),
+        np.searchsorted(pts.sum(axis=1), np.arange(degree + 1), side="right"),
+    )
+    return cached
 
 
 def exact_cost(populations: Sequence[int], n_queues: int) -> int:
-    """Coefficient reads of one exact solve, per network.
-
-    A step that brings ``V`` stacked products to degree ``d`` reads
-    ``1 + n_queues`` coefficients for each of the ``V`` times
-    ``C(d + n_queues, n_queues)`` monomials of degree at most ``d``
-    (:class:`_ExactPlan` lists the steps); summed in closed form.  It
-    bounds the solve's time and its widest array, and solves above
+    """Coefficient reads of one exact solve, per network: each step
+    reads ``1 + n_queues`` coefficients per monomial up to its degree
+    for each stacked product (:func:`_exact_plan`), summed in closed
+    form.  It bounds the solve's time and widest array; solves above
     :data:`MAX_EXACT_COST` raise
     :class:`~repro.errors.ConfigurationError`.
     """
@@ -218,115 +199,84 @@ def exact_cost(populations: Sequence[int], n_queues: int) -> int:
     if not (active and n_queues):
         return 0
     q, a, n = n_queues + 1, len(active), sum(active)
-    # Summed over degrees d = lo..hi, C(d + q - 1, q - 1) gives
+    # Over degrees d = lo..hi, C(d + q - 1, q - 1) sums to
     # C(hi + q, q) - C(lo + q - 1, q).
     shared = math.comb(n - a + q, q) - 1  # degrees 1 .. n - a
     own = a * (math.comb(n - 1 + q, q) - math.comb(n - a + q, q))
     return q * (shared + own)
 
 
-class _ExactPlan:
-    """Step schedule of one exact solve, cached per population vector
-    and delay mask.
+class _ExactPlan(NamedTuple):
+    """Step schedule of one exact solve (:func:`_exact_plan`)."""
 
-    With ``a`` chains holding customers and ``N`` customers in all, the
-    kernel multiplies ``N - a`` linear factors into one shared product
-    (``base``: chain ``s``'s factor ``N_s - 1`` times, one stacked
-    product) and then, for every active chain ``r`` at once, the
-    factors of the other ``a - 1`` chains (``rest``: ``a`` stacked
-    products).  Each step is ``(pred, weight, size, renormalize)``:
-    the simplex arrays cut to the ``size`` monomials of the product's
-    new degree, and whether to rescale afterwards.
+    n_queues: int  #: queueing centers ``Cq``
+    queues: np.ndarray  #: row indices of the queueing centers
+    delays: np.ndarray  #: row indices of the delay centers
+    active: np.ndarray  #: ``(a,)`` chains with customers
+    base_chains: np.ndarray  #: ``(N - a,)`` chain of each shared step
+    rest_chains: np.ndarray  #: ``(a - 1, a)`` chain of each stacked step
+    base: list[_Step]  #: the shared product's steps
+    rest: list[_Step]  #: the stacked products' steps
+    top: int  #: the products' final degree, ``N - 1``
 
-    * ``queues`` / ``delays``: row indices of the queueing and delay
-      centers;
-    * ``active``: ``(a,)`` chains with customers;
-    * ``base_chains``: ``(N - a,)`` chain of each base step;
-    * ``rest_chains``: ``(a - 1, a)`` chain each product multiplies in
-      at each rest step;
-    * ``moments``: ``(L, 1 + Cq)`` weights of the final sums — 1 and
-      ``k_i`` over the ``L`` monomials of degree below ``N``.
+
+@functools.lru_cache(maxsize=64)
+def _exact_plan(populations: tuple[int, ...], delay: tuple[bool, ...]) -> _ExactPlan:
+    """The cached schedule of one population vector and delay mask.
+
+    With ``a`` chains holding ``N`` customers, ``N - a`` factors go
+    into one shared product (chain ``s``'s ``N_s - 1`` times); then
+    each active chain ``r``'s product, stacked, takes the other
+    ``a - 1`` chains' factors.
     """
+    mask = np.array(delay, dtype=bool).reshape(len(delay))
+    n_queues = int((~mask).sum())
+    cost = exact_cost(populations, n_queues)
+    if cost > MAX_EXACT_COST:
+        raise ConfigurationError(
+            f"exact MVA at populations {populations} over {n_queues} "
+            f"queueing centers needs {cost} coefficient reads "
+            f"(> {MAX_EXACT_COST}); use approximate MVA instead"
+        )
+    active = [r for r, p in enumerate(populations) if p > 0]
+    base = [s for s in active for _ in range(populations[s] - 1)]
+    rest = [[s for s in active if s != r] for r in active]
+    top = max(0, sum(populations) - 1)
+    sizes = _simplex(n_queues, top)[2]
 
-    __slots__ = (
-        "queues",
-        "delays",
-        "active",
-        "base_chains",
-        "rest_chains",
-        "base",
-        "rest",
-        "moments",
+    def step(t: int) -> _Step:
+        return int(sizes[t + 1]), t % _RESCALE_EVERY == _RESCALE_EVERY - 1
+
+    return _ExactPlan(
+        n_queues=n_queues,
+        queues=np.flatnonzero(~mask),
+        delays=np.flatnonzero(mask),
+        active=np.array(active, dtype=np.intp),
+        base_chains=np.array(base, dtype=np.intp),
+        rest_chains=np.array(rest, dtype=np.intp)
+        .reshape(len(active), max(0, len(active) - 1))
+        .T.copy(),
+        base=[step(t) for t in range(len(base))],
+        rest=[step(len(base) + t) for t in range(len(active) - 1)],
+        top=top,
     )
-
-    def __init__(self, populations: tuple[int, ...], delay: tuple[bool, ...]):
-        mask = np.array(delay, dtype=bool).reshape(len(delay))
-        self.queues = np.flatnonzero(~mask)
-        self.delays = np.flatnonzero(mask)
-        n_queues = len(self.queues)
-        cost = exact_cost(populations, n_queues)
-        if cost > MAX_EXACT_COST:
-            raise ConfigurationError(
-                f"exact MVA at populations {populations} over {n_queues} "
-                f"queueing centers needs {cost} coefficient reads "
-                f"(> {MAX_EXACT_COST}); use approximate MVA instead"
-            )
-        active = [r for r, p in enumerate(populations) if p > 0]
-        base = [s for s in active for _ in range(populations[s] - 1)]
-        rest = [[s for s in active if s != r] for r in active]
-        self.active = np.array(active, dtype=np.intp)
-        self.base_chains = np.array(base, dtype=np.intp)
-        self.rest_chains = np.array(rest, dtype=np.intp).reshape(
-            len(active), max(0, len(active) - 1)
-        ).T.copy()
-        simplex = _simplex(n_queues, max(0, sum(populations) - 1))
-
-        def step(t: int) -> tuple[np.ndarray, np.ndarray, int, bool]:
-            size = int(simplex.sizes[t + 1])
-            return (
-                simplex.pred[:, :size],
-                simplex.weight[:, :size],
-                size,
-                t % _RENORMALIZE_EVERY == _RENORMALIZE_EVERY - 1,
-            )
-
-        self.base = [step(t) for t in range(len(base))]
-        self.rest = [step(len(base) + t) for t in range(len(active) - 1)]
-        size = int(simplex.sizes[max(0, sum(populations) - 1)])
-        self.moments = np.ascontiguousarray(simplex.weight[:, :size].T)
-
-
-def _exact_plan(populations: np.ndarray, delay: np.ndarray) -> _ExactPlan:
-    """Cached :class:`_ExactPlan` for a ``(K,)`` ``populations`` vector
-    and a ``(C,)`` ``delay`` mask (least recently used entry evicted
-    beyond the cache cap)."""
-    key = (tuple(populations.tolist()), tuple(delay.tolist()))
-    plan = _PLAN_CACHE.pop(key, None)
-    if plan is None:
-        if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
-            _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
-        plan = _ExactPlan(*key)
-    _PLAN_CACHE[key] = plan
-    return plan
 
 
 def _multiply(
-    steps: list[tuple[np.ndarray, np.ndarray, int, bool]],
+    steps: list[_Step],
     factors: np.ndarray,
     coef: np.ndarray,
+    pred: np.ndarray,
+    weight: np.ndarray,
 ) -> np.ndarray:
-    """Multiply stacked products by one linear factor per step.
+    """Multiply the ``(B, V, L)`` stack ``coef`` of ``V`` products per
+    network (zero past their degree) by one linear factor per step.
 
-    ``coef`` is the ``(B, V, L)`` stack of ``V`` products per network,
-    zero past each product's degree.  ``factors`` is ``(P, B, V, 1, T)``:
-    for each of the ``P`` steps, every product's factor row ``(Z, D_1,
-    ..., D_Cq)`` of ``T = 1 + Cq`` terms.  ``steps`` holds the
-    :class:`_ExactPlan` steps, whose ``pred`` and ``weight`` are
-    ``(T, S)`` over the ``S`` monomials up to the step's degree.  With
-    ``k!`` folded into the coefficients, multiplying by ``Z + sum_i
-    D_i x_i`` is ``c[k] <- Z c[k] + sum_i D_i k_i c[k - e_i]``: one
-    gather of the ``T`` terms, one weight and one contraction with the
-    factor.
+    ``factors`` is ``(P, B, V, 1, T)``: for each of the ``P`` ``steps``,
+    each product's factor ``(Z, D_1, ..., D_Cq)``; ``pred`` and
+    ``weight`` are the ``(T, L)`` :func:`_simplex` arrays.  With ``k!``
+    folded in, multiplying by ``Z + sum_i D_i x_i`` is
+    ``c[k] <- Z c[k] + sum_i D_i k_i c[k - e_i]``.
     """
     if not steps:
         return coef
@@ -334,12 +284,12 @@ def _multiply(
     # Step t needs step t-1's product; the products of one step are
     # stacked on the batch and variant axes.
     # caratlint: disable=CL002 -- sequential polynomial products
-    for factor, (pred, weight, size, renormalize) in zip(factors, steps):
-        terms = coef.take(pred, axis=2)  # (B, V, 1 + Cq, size)
-        terms *= weight
+    for factor, (size, rescale) in zip(factors, steps):
+        terms = coef.take(pred[:, :size], axis=2)  # (B, V, T, size)
+        terms *= weight[:, :size]
         out = spare[:, :, None, :size]
         np.matmul(factor, terms, out=out)
-        if renormalize:
+        if rescale:
             out /= out.sum(axis=3, keepdims=True)
         coef, spare = spare, coef
     return coef
@@ -386,32 +336,36 @@ def solve_exact_batch(
         R = np.zeros((B, C, K))
         return (X[0], R[0]) if squeeze else (X, R)
 
-    plan = _exact_plan(populations, delay)
+    plan = _exact_plan(tuple(populations.tolist()), tuple(delay.tolist()))
     Dq = demands.take(plan.queues, axis=1)  # (B, Cq, K)
     Z = demands.take(plan.delays, axis=1).sum(axis=1)  # (B, K)
     one_plus = np.ones_like(Dq)
     if Dq.shape[1]:
-        # Each chain's factor (Z, D_1, ..., D_Cq) is scaled to sum 1:
-        # a factor's scale multiplies every coefficient alike, and with
-        # unit factors no product's coefficient sum ever shrinks.  A
-        # chain with no demand anywhere has zero throughput; its factor
-        # becomes the constant 1.
-        F = np.concatenate((Z[:, None, :], Dq), axis=1)  # (B, 1+Cq, K)
+        # Each chain's factor (Z, D_1, ..., D_Cq) is scaled to sum 1 (a
+        # factor's scale drops out of every ratio); a chain with no
+        # demand anywhere has zero throughput and multiplies by 1.
+        F = np.concatenate((Z[:, None, :], Dq), axis=1)  # (B, T, K)
         total = F.sum(axis=1)
         idle = ~(total > 0.0)
         F /= np.where(idle, 1.0, total)[:, None, :]
         F[:, 0, :] += idle
-        F = F.transpose(0, 2, 1)[:, :, None, None, :]  # (B, K, 1, 1, 1+Cq)
-        coef = np.zeros((B, 1, len(plan.moments)))
+        F = F.transpose(0, 2, 1)[:, :, None, None, :]  # (B, K, 1, 1, T)
+        pred, weight, sizes = _simplex(plan.n_queues, plan.top)
+        weight = weight[:, : sizes[plan.top]]
+        coef = np.zeros((B, 1, weight.shape[1]))
         coef[:, :, 0] = 1.0
-        coef = _multiply(plan.base, F[:, plan.base_chains].swapaxes(0, 1), coef)
+        coef = _multiply(
+            plan.base, F[:, plan.base_chains].swapaxes(0, 1), coef, pred, weight
+        )
         coef = _multiply(
             plan.rest,
             F[:, plan.rest_chains, 0].swapaxes(0, 1),
             np.repeat(coef, len(plan.active), axis=1),
+            pred,
+            weight,
         )
         # Q_i(N - e_r) is the k_i-weighted mean over r's product.
-        sums = coef @ plan.moments  # (B, a, 1 + Cq)
+        sums = coef @ weight.T  # (B, a, T)
         one_plus[:, :, plan.active] += (sums[..., 1:] / sums[..., :1]).transpose(
             0, 2, 1
         )

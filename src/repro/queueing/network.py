@@ -2,8 +2,7 @@
 
 A :class:`ClosedNetwork` bundles the service centers and the closed-chain
 populations; solvers (:mod:`repro.queueing.mva_exact`,
-:mod:`repro.queueing.mva_approx`, :mod:`repro.queueing.convolution`,
-:mod:`repro.queueing.ctmc`) consume it and return a
+:mod:`repro.queueing.mva_approx` and the test oracles) consume it and return a
 :class:`NetworkSolution`.
 """
 

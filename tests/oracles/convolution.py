@@ -1,7 +1,7 @@
 """Buzen's convolution algorithm for single-chain closed networks.
 
-Used as an independent oracle against the MVA solvers in the test
-suite.  For a single closed chain of population ``N`` over centers with
+An independent oracle against the exact MVA solver, used by the test
+suite only.  For a single closed chain of population ``N`` over centers with
 demands ``D_c``, the normalization constants satisfy
 
 ``G_c(n) = G_{c-1}(n) + D_c * G_c(n - 1)``        (queueing center)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.queueing.centers import CenterKind, ServiceCenter
-from repro.queueing.convolution import solve_convolution
+from tests.oracles.convolution import solve_convolution
 from repro.queueing.network import ClosedNetwork
 
 

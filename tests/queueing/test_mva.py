@@ -8,9 +8,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.queueing.centers import CenterKind, ServiceCenter
-from repro.queueing.convolution import solve_convolution
+from tests.oracles.convolution import solve_convolution
 from repro.queueing.kernels import MAX_EXACT_COST
-from repro.queueing.ctmc import solve_ctmc
+from tests.oracles.ctmc import solve_ctmc
 from repro.queueing.mva_approx import solve_mva_approx
 from repro.queueing.mva_exact import mva_cost, solve_mva_exact
 from repro.queueing.network import ClosedNetwork

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.queueing.centers import CenterKind, ServiceCenter
-from repro.queueing.convolution import solve_convolution
+from tests.oracles.convolution import solve_convolution
 from repro.queueing.mva_exact import solve_mva_exact
 from repro.queueing.network import ClosedNetwork
 
