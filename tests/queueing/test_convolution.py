@@ -4,8 +4,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.queueing.centers import CenterKind, ServiceCenter
-from tests.oracles.convolution import solve_convolution
 from repro.queueing.network import ClosedNetwork
+from tests.oracles.convolution import solve_convolution
 
 
 def _single(demands, populations, kinds=None):

@@ -13,8 +13,6 @@ laws and bounds.
 """
 
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,9 +28,7 @@ from repro.queueing.mva_exact import solve_mva_exact
 from repro.queueing.mva_reference import reference_mva_exact
 from repro.queueing.network import ClosedNetwork
 from tests.oracles.lattice_mva import lattice_exact_batch
-
-sys.path.insert(0, str(Path(__file__).parent))
-from test_exact_kernel_golden import CASES, case_inputs  # noqa: E402
+from tests.queueing.test_exact_kernel_golden import CASES, case_inputs
 
 RTOL = 1e-12
 

@@ -8,12 +8,12 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.queueing.centers import CenterKind, ServiceCenter
-from tests.oracles.convolution import solve_convolution
 from repro.queueing.kernels import MAX_EXACT_COST
-from tests.oracles.ctmc import solve_ctmc
 from repro.queueing.mva_approx import solve_mva_approx
 from repro.queueing.mva_exact import mva_cost, solve_mva_exact
 from repro.queueing.network import ClosedNetwork
+from tests.oracles.convolution import solve_convolution
+from tests.oracles.ctmc import solve_ctmc
 
 
 def single_chain(demand_cpu=1.0, demand_disk=2.0, think=0.0, n=3):

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.queueing.centers import CenterKind, ServiceCenter
-from tests.oracles.convolution import solve_convolution
 from repro.queueing.mva_exact import solve_mva_exact
 from repro.queueing.network import ClosedNetwork
+from tests.oracles.convolution import solve_convolution
 
 demand = st.floats(min_value=0.01, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
